@@ -306,11 +306,14 @@ def _cmd_verify(config):
     if config.random_corpus:
         rng = random.Random(config.seed)
         for i in range(config.random_corpus):
-            g, params = random_gnp_graph(rng)
+            g, params = random_gnp_graph(rng, max_edges=config.brute_force_cap)
             entries.append((f"gnp/{i}", g, params))
         descriptor["random_corpus"] = {
             "count": config.random_corpus,
-            "generator": "gnp, n uniform in 2..8, p uniform in 0.2..0.8",
+            "generator": (
+                "gnp, n uniform in 2..8, p uniform in 0.2..0.8,"
+                f" conditioned on m <= {config.brute_force_cap}"
+            ),
         }
 
     graphs_out = []

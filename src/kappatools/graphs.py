@@ -351,11 +351,16 @@ def memo_key(g):
     return f"{n}:" + ",".join(f"{a}-{b}" for a, b in pairs)
 
 
+MAX_PARSED_VERTICES = 10**6
+
+
 def parse_edge_list(text):
     """Parse the shared edge-list format: `n m`, then m lines `u v`.
 
     A line `u v` with u == v encodes a loop; duplicate lines encode
-    parallel edges; line order defines edge-ids.
+    parallel edges; line order defines edge-ids.  A header with more than
+    MAX_PARSED_VERTICES vertices is rejected, since the engines allocate
+    per-vertex tables.
     """
     lines = text.splitlines()
     if not lines:
@@ -369,6 +374,10 @@ def parse_edge_list(text):
         raise EdgeListParseError(1, f"non-integer header {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise EdgeListParseError(1, f"negative counts in header {lines[0]!r}")
+    if n > MAX_PARSED_VERTICES:
+        raise EdgeListParseError(
+            1, f"{n} vertices exceeds the limit of {MAX_PARSED_VERTICES}"
+        )
     edges = []
     lineno = 1
     for lineno, line in enumerate(lines[1:], start=2):

@@ -1,9 +1,16 @@
 """Fast click-class counting, no orientation enumeration.
 
-The count for a graph is the count after deleting a cycle-edge plus the
-count after contracting it.  Three prunings keep the recursion small:
-parallel edges collapse, bridges never matter, and disjoint pieces
-multiply.  Recursion results are memoized on a normalized graph key.
+One deletion/contraction engine evaluates the Tutte polynomial on the
+line y = 0: `_Engine(x=1)` gives the class count kappa = T(1, 0), and
+`tutte_eval(g, x, 0)` runs the same engine at any integer x (x = 2
+counts acyclic orientations).  The value for a graph is the value after
+deleting a cycle-edge plus the value after contracting it.  Three
+prunings keep the recursion small: parallel edges collapse, each bridge
+contributes a factor x, and disjoint pieces multiply.  A piece that is a
+cycle C_m is answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at
+x = 1), without a memo key or a recursion; traces skip this rule so they
+keep the complete unfolded recursion.  Other pieces are memoized on a
+normalized graph key.
 """
 
 from __future__ import annotations
@@ -52,28 +59,39 @@ class KappaResult:
     cache_stats: CacheStats = field(default_factory=CacheStats)
 
 
+def _cycle_value(m, x):
+    """T(C_m; x, 0) = x + x^2 + ... + x^(m-1)."""
+    if x == 1:
+        return m - 1
+    return (x**m - x) // (x - 1)
+
+
 class _Engine:
-    def __init__(self, memo, rng, build_trace):
+    """T(g; x, 0) by deletion/contraction; memo values are only valid for one x."""
+
+    def __init__(self, memo, rng, build_trace, x=1):
         self.memo = memo  # None disables caching entirely
         self.rng = rng
         self.build_trace = build_trace
+        self.x = x
         self.stats = CacheStats()
 
     def solve(self, g):
         """Value of an arbitrary loop-free multigraph, plus its trace node."""
         s = g.simplify().graph
         core = s.cycle_subgraph().drop_isolated().graph
+        bridge_factor = self.x ** (s.m - core.m)
         if core.m == 0:
             node = (
                 TraceNode(memo_key(core), "base", None, 1, ())
                 if self.build_trace
                 else None
             )
-            return 1, node
+            return bridge_factor, node
         value, node = self._solve_core(core)
         if self.build_trace and s.m != core.m:
             node = TraceNode(memo_key(s), "bridge-prune", None, value, (node,))
-        return value, node
+        return bridge_factor * value, node
 
     def _solve_core(self, core):
         pieces = core.split_components()
@@ -95,6 +113,8 @@ class _Engine:
 
     def _solve_component(self, c):
         """c is connected, simple, bridge-free, with at least one edge."""
+        if c.m == c.n_vertices and not self.build_trace:
+            return _cycle_value(c.m, self.x), None
         key = memo_key(c)
         if self.memo is not None and key in self.memo:
             self.stats.hits += 1
@@ -124,7 +144,9 @@ def kappa(g, *, rng=None, use_cache=True, cache=None):
     rng to recurse on randomly chosen cycle-edges instead of the
     lexicographically least one (the value must not change; differential
     tests rely on this).  Pass use_cache=False for a cache-free run, or a
-    dict as `cache` to share memoized results across calls.
+    dict as `cache` to share memoized results across calls.  Cycle pieces
+    are answered in closed form and never reach the cache, so they count
+    as neither hits nor misses.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")
@@ -137,8 +159,8 @@ def kappa(g, *, rng=None, use_cache=True, cache=None):
 def kappa_with_trace(g, *, rng=None):
     """Like kappa, but cache-free and with the full recursion tree attached.
 
-    Caching is off so the trace is the complete unfolded recursion; every
-    leaf contributes exactly 1.
+    Caching and the closed-form cycle rule are off, so the trace is the
+    complete unfolded recursion; every leaf contributes exactly 1.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")

@@ -2,8 +2,10 @@
 
 The base case is a graph of bridges and loops only, contributing
 x^bridges * y^loops.  Loops are never contracted; they ride along to the
-base case.  A y=0 evaluation fast path prunes every branch whose graph
-contains a loop, since all of its terms vanish there.
+base case.  Evaluations at y=0 do not build the polynomial: they run the
+one y=0 engine of `kappatools.kappa` (the same recursion that counts
+click-classes), which drops every branch whose graph contains a loop,
+since all of its terms vanish there, and sums cycles in closed form.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from math import comb
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
 from .graphs import EdgeKind, UnionFind, memo_key
+from .kappa import _Engine
 
 DEFAULT_TUTTE_CAP = 30
 DEFAULT_ORACLE_CAP = 16
@@ -182,9 +185,10 @@ def _tutte_component(c, memo, rng):
 def tutte_eval(g, x, y, cap=None):
     """Evaluate the Tutte polynomial of g at an integer point (x, y).
 
-    At y=0 a specialized recursion is used: branches whose graph carries a
-    loop contribute nothing, parallel classes collapse, bridges factor out
-    as powers of x.
+    At y=0 the deletion/contraction engine of `kappatools.kappa` runs with
+    a fresh memo: a loop makes the value 0, parallel classes collapse,
+    bridges factor out as powers of x, and cycles are summed in closed
+    form.  Other points evaluate the full polynomial.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise GraphInputError("evaluation point must be a pair of integers")
@@ -192,29 +196,9 @@ def tutte_eval(g, x, y, cap=None):
     if y == 0:
         if g.has_loops:
             return 0
-        return _eval_y0_graph(g.simplify().graph, x, {})
+        value, _ = _Engine({}, None, build_trace=False, x=x).solve(g)
+        return value
     return tutte_polynomial(g, cap).evaluate(x, y)
-
-
-def _eval_y0_graph(s, x, memo):
-    """Value at (x, 0) of a simple loop-free graph."""
-    bridges = sum(1 for k in s.classify_edges() if k is EdgeKind.BRIDGE)
-    core = s.cycle_subgraph().drop_isolated().graph
-    value = x**bridges
-    for piece in core.split_components():
-        value *= _eval_y0_component(piece.graph, x, memo)
-    return value
-
-
-def _eval_y0_component(c, x, memo):
-    key = memo_key(c)
-    if key in memo:
-        return memo[key]
-    eid = min(range(c.m), key=lambda i: c.edges[i])
-    value = _eval_y0_graph(c.delete_edge(eid).graph, x, memo)
-    value += _eval_y0_graph(c.contract_edge(eid).graph.simplify().graph, x, memo)
-    memo[key] = value
-    return value
 
 
 def tutte_oracle_rank_nullity(g, cap=None):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from kappatools.cli import RunConfig, main
+from kappatools.corpus import cycle_graph
 from kappatools.errors import GraphInputError
 
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
@@ -118,6 +119,33 @@ def test_verify_random_corpus_is_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["summary"] == {"graphs": 6, "failures": 0}
     assert all(entry["ok"] for entry in payload["graphs"])
+
+
+def test_verify_random_corpus_respects_the_cap(capsys):
+    args = ("verify", "--random-corpus", "25", "--seed", "1", "--cap", "12")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"] == {"graphs": 25, "failures": 0}
+    assert all(len(entry["edges"]) <= 12 for entry in payload["graphs"])
+    assert "m <= 12" in payload["input"]["random_corpus"]["generator"]
+
+
+def test_kappa_on_a_long_cycle(capsys, tmp_path):
+    n = 500
+    path = tmp_path / "c500.txt"
+    path.write_text(cycle_graph(n).to_edge_list_text())
+    code, out, _ = run_cli(capsys, "kappa", str(path))
+    assert code == 0
+    assert out == f"{n - 1}\n"
+
+
+def test_absurd_vertex_count_is_exit_2(capsys, monkeypatch):
+    # header only: the graph is rejected before anything is allocated
+    monkeypatch.setattr("sys.stdin", io.StringIO("1000000000 0\n"))
+    code, _, err = run_cli(capsys, "kappa", "-")
+    assert code == 2
+    assert "line 1" in err
 
 
 def test_parse_error_exit_2_with_line(capsys, tmp_path):

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappatools.errors import EdgeListParseError, GraphInputError
-from kappatools.graphs import EdgeKind, Multigraph, memo_key, parse_edge_list
+from kappatools.graphs import (
+    MAX_PARSED_VERTICES,
+    EdgeKind,
+    Multigraph,
+    memo_key,
+    parse_edge_list,
+)
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 C4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -201,6 +207,13 @@ def test_parse_reports_bad_edge_line():
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list("3 2\n0 1\n0 9\n")
     assert err.value.line_number == 3
+
+
+def test_parse_rejects_absurd_vertex_counts():
+    # header only: never build a graph this large
+    with pytest.raises(EdgeListParseError, match="limit") as err:
+        parse_edge_list(f"{MAX_PARSED_VERTICES + 1} 0\n")
+    assert err.value.line_number == 1
 
 
 def test_parse_reports_missing_edges():

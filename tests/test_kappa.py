@@ -32,8 +32,10 @@ def test_random_forests_give_one():
         assert kappa(random_forest(rng)).value == 1
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", [*range(3, 9), 500, 2000])
 def test_cycles(n):
+    # long cycles are answered in closed form, well inside the default
+    # recursion limit
     assert kappa(cycle_graph(n)).value == n - 1
 
 
@@ -139,6 +141,13 @@ def test_triangle_trace_shape():
 def test_k4_trace_leaf_count_equals_value():
     result = kappa_with_trace(complete_graph(4))
     assert result.trace.leaf_count() == result.value == 6
+
+
+def test_cycle_trace_unfolds_instead_of_closed_form():
+    result = kappa_with_trace(cycle_graph(6))
+    assert result.trace.rule == "recursion"
+    assert [c.rule for c in result.trace.children] == ["base", "recursion"]
+    assert result.trace.leaf_count() == result.value == 5
 
 
 def test_bridge_prune_appears_for_triangle_with_tail():

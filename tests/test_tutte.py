@@ -120,6 +120,43 @@ def test_y0_fast_path_matches_polynomial():
             assert tutte_eval(g, x, 0) == poly.evaluate(x, 0), (g, x)
 
 
+# Graphs whose y=0 recursion meets cycle pieces of several lengths.
+CYCLE_PIECE_GRAPHS = {
+    "two-cycles-sharing-a-vertex": Multigraph(
+        7, ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (0, 6))
+    ),
+    "cycle-with-chord": Multigraph(
+        6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4))
+    ),
+    "theta": Multigraph(
+        7, ((0, 1), (1, 6), (0, 2), (2, 3), (3, 6), (0, 4), (4, 5), (5, 6))
+    ),
+    "W6": Multigraph(
+        6,
+        ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5))
+        + ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)),
+    ),
+    "bridge-joining-two-cycles": Multigraph(
+        8, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_PIECE_GRAPHS))
+def test_y0_engine_matches_polynomial_on_cycle_pieces(name):
+    g = CYCLE_PIECE_GRAPHS[name]
+    poly = tutte_polynomial(g)
+    for x in range(4):
+        assert tutte_eval(g, x, 0) == poly.evaluate(x, 0), x
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_y0_engine_on_long_cycles(n):
+    g = cycle_graph(n)
+    for x in range(4):
+        assert tutte_eval(g, x, 0, cap=n) == sum(x**i for i in range(1, n))
+
+
 def test_kappa_identity_on_random_graphs():
     rng = random.Random(29)
     for _ in range(30):
