@@ -245,9 +245,10 @@ def _verify_graph(g, cap):
     part = kappa_partition_bruteforce(g, cap)
     k_brute = part.class_count
     k_recursion = kappa(g).value
-    k_tutte = tutte_eval(g, 1, 0)
+    poly = tutte_polynomial(g)
+    k_tutte = poly.evaluate(1, 0)
     alpha_brute = sum(len(cls) for cls in part.classes)
-    alpha_tutte = tutte_eval(g, 2, 0)
+    alpha_tutte = poly.evaluate(2, 0)
     cut_classes = cut_equivalence_classes(g, cap)
     cut_ok = cut_classes == part.as_bit_classes()
 

@@ -68,14 +68,14 @@ def random_forest(rng, max_vertices=12):
 
 
 def random_gnp_graph(
-    rng, min_vertices=2, max_vertices=8, p_low=0.2, p_high=0.8, max_edges=None
+    rng, max_edges, min_vertices=2, max_vertices=8, p_low=0.2, p_high=0.8
 ):
     """Simple graph with each pair present independently; returns (graph, params).
 
-    With max_edges set, a graph with more edges is drawn again from scratch
-    (n and p included), so the result is G(n, p) conditioned on m <= max_edges.
+    A graph with more than max_edges edges is drawn again from scratch (n and
+    p included), so the result is G(n, p) conditioned on m <= max_edges.
     """
-    if max_edges is not None and max_edges < 0:
+    if max_edges < 0:
         raise ValueError("max_edges must be nonnegative")
     while True:
         n = rng.randint(min_vertices, max_vertices)
@@ -86,7 +86,7 @@ def random_gnp_graph(
             for b in range(a + 1, n)
             if rng.random() < p
         )
-        if max_edges is None or len(edges) <= max_edges:
+        if len(edges) <= max_edges:
             return Multigraph(n, edges), {"model": "gnp", "n": n, "p": round(p, 6)}
 
 

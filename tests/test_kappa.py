@@ -16,7 +16,7 @@ from kappatools.errors import GraphInputError
 from kappatools.graphs import Multigraph
 from kappatools.kappa import kappa, kappa_with_trace
 from kappatools.orientations import kappa_partition_bruteforce
-from kappatools.tutte import tutte_eval
+from kappatools.tutte import tutte_polynomial
 
 TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 
@@ -90,7 +90,7 @@ def test_matches_bruteforce_and_tutte_on_random_graphs():
         g = random_connected_graph(rng, max_edges=11, max_vertices=7)
         value = kappa(g).value
         assert value == kappa_partition_bruteforce(g).class_count
-        assert value == tutte_eval(g, 1, 0)
+        assert value == tutte_polynomial(g).evaluate(1, 0)
 
 
 def test_edge_choice_does_not_matter():

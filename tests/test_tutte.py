@@ -161,7 +161,7 @@ def test_kappa_identity_on_random_graphs():
     rng = random.Random(29)
     for _ in range(30):
         g = random_connected_graph(rng, max_edges=10, max_vertices=6)
-        assert tutte_eval(g, 1, 0) == kappa(g).value
+        assert tutte_polynomial(g).evaluate(1, 0) == kappa(g).value
 
 
 def test_alpha_identity_survives_parallel_edges():
