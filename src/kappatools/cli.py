@@ -3,8 +3,10 @@
 Reads graphs in the shared edge-list format (`n m` header, then one `u v`
 line per edge; duplicates are parallel edges, `u u` is a loop), runs one
 computation per invocation, and emits text or versioned JSON.  Exit codes:
-0 success, 2 malformed input, 3 size cap exceeded, 4 internal invariant or
-cross-engine verification failure.
+0 success, 2 malformed input, 3 size cap exceeded or recursion too deep,
+4 internal invariant or cross-engine verification failure.  Only the
+brute-force commands take `--cap` (or read KAPPA_BRUTE_CAP), and only
+`verify` takes `--seed`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .collapse import build_collapse_graph, verify_collapse_structure
 from .corpus import connected_simple_graphs, random_gnp_graph
@@ -38,81 +39,37 @@ from .tutte import tutte_eval, tutte_polynomial
 SCHEMA_VERSION = 1
 CAP_ENV_VAR = "KAPPA_BRUTE_CAP"
 
-COMMANDS = (
-    "kappa",
-    "alpha",
-    "tutte",
-    "eval",
-    "classes",
-    "transversal",
-    "collapse",
-    "nu",
-    "verify",
-)
 
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str = "-"
-    format: str = "text"
-    brute_force_cap: int = DEFAULT_BRUTE_FORCE_CAP
-    seed: int = 0
-    point: tuple | None = None
-    trace: bool = False
-    vertex: int | None = None
-    edge: int | None = None
-    path_json: str | None = None
-    corpus: str | None = None
-    random_corpus: int | None = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise GraphInputError(f"unknown command {self.command!r}")
-        if self.brute_force_cap < 1:
-            raise GraphInputError("brute-force cap must be at least 1")
-        if self.command == "eval" and self.point is None:
-            raise GraphInputError("eval requires --point X Y")
-        if self.command != "eval" and self.point is not None:
-            raise GraphInputError("--point only applies to eval")
-
-
-def _read_input(config):
-    if config.input_path == "-":
-        text = sys.stdin.read()
-        descriptor = {"path": "-"}
-    else:
-        try:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+def _read_input(args):
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise GraphInputError(f"cannot read {config.input_path}: {exc}") from None
-        descriptor = {"path": config.input_path}
-    descriptor["sha256"] = hashlib.sha256(text.encode()).hexdigest()
-    return parse_edge_list(text), descriptor
+        digest = hashlib.sha256(text.encode()).hexdigest()
+    except (OSError, UnicodeError) as exc:
+        raise GraphInputError(f"cannot read {args.input}: {exc}") from None
+    return parse_edge_list(text), {"path": args.input, "sha256": digest}
 
 
-def _payload(config, descriptor, body):
-    payload = {"schema": SCHEMA_VERSION, "command": config.command}
-    payload["input"] = descriptor
-    payload.update(body)
-    return payload
-
-
-def _emit(config, payload, text_lines):
-    if config.format == "json":
+def _emit(args, descriptor, body, text_lines):
+    if args.format == "json":
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, "input": descriptor}
+        payload.update(body)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
-def _cmd_kappa(config):
-    g, descriptor = _read_input(config)
-    if config.trace:
+def _cmd_kappa(args):
+    g, descriptor = _read_input(args)
+    if args.trace:
         result = kappa_with_trace(g)
-        body = {"value": result.value, "trace": result.trace.to_json()}
-        lines = [str(result.value), json.dumps(result.trace.to_json(), sort_keys=True)]
+        trace = result.trace.to_json()
+        body = {"value": result.value, "trace": trace}
+        lines = [str(result.value), json.dumps(trace, sort_keys=True)]
     else:
         result = kappa(g)
         body = {
@@ -123,43 +80,43 @@ def _cmd_kappa(config):
             },
         }
         lines = [str(result.value)]
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0
 
 
-def _cmd_alpha(config):
-    g, descriptor = _read_input(config)
-    brute = len(enumerate_acyclic(g, config.brute_force_cap))
+def _cmd_alpha(args):
+    g, descriptor = _read_input(args)
+    brute = len(enumerate_acyclic(g, args.cap))
     via_tutte = tutte_eval(g, 2, 0)
     ok = brute == via_tutte
     body = {"bruteforce": brute, "tutte": via_tutte, "ok": ok}
     lines = [f"bruteforce {brute}", f"tutte {via_tutte}"]
     if not ok:
         lines.append("MISMATCH")
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0 if ok else 4
 
 
-def _cmd_tutte(config):
-    g, descriptor = _read_input(config)
+def _cmd_tutte(args):
+    g, descriptor = _read_input(args)
     poly = tutte_polynomial(g)
     body = {"coefficients": poly.to_json_triples(), "text": poly.to_text()}
-    _emit(config, _payload(config, descriptor, body), [poly.to_text()])
+    _emit(args, descriptor, body, [poly.to_text()])
     return 0
 
 
-def _cmd_eval(config):
-    g, descriptor = _read_input(config)
-    x, y = config.point
+def _cmd_eval(args):
+    g, descriptor = _read_input(args)
+    x, y = args.point
     value = tutte_eval(g, x, y)
     body = {"point": [x, y], "value": value}
-    _emit(config, _payload(config, descriptor, body), [str(value)])
+    _emit(args, descriptor, body, [str(value)])
     return 0
 
 
-def _cmd_classes(config):
-    g, descriptor = _read_input(config)
-    part = kappa_partition_bruteforce(g, config.brute_force_cap)
+def _cmd_classes(args):
+    g, descriptor = _read_input(args)
+    part = kappa_partition_bruteforce(g, args.cap)
     classes = [
         {
             "representative": cls[0].hex,
@@ -174,52 +131,46 @@ def _cmd_classes(config):
         f"class {i}: size {c['size']} representative {c['representative']}"
         for i, c in enumerate(classes)
     )
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0
 
 
-def _cmd_transversal(config):
-    if config.vertex is None:
-        raise GraphInputError("transversal requires --vertex")
-    g, descriptor = _read_input(config)
-    found = unique_source_orientations(g, config.vertex, config.brute_force_cap)
+def _cmd_transversal(args):
+    g, descriptor = _read_input(args)
+    found = unique_source_orientations(g, args.vertex, args.cap)
     body = {
-        "vertex": config.vertex,
+        "vertex": args.vertex,
         "count": len(found),
         "orientations": [o.hex for o in found],
     }
     lines = [f"count {len(found)}"]
     lines.extend(o.hex for o in found)
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0
 
 
-def _cmd_collapse(config):
-    if config.edge is None:
-        raise GraphInputError("collapse requires --edge")
-    g, descriptor = _read_input(config)
-    cg = build_collapse_graph(g, config.edge, config.brute_force_cap)
-    report = verify_collapse_structure(cg, config.brute_force_cap)
+def _cmd_collapse(args):
+    g, descriptor = _read_input(args)
+    cg = build_collapse_graph(g, args.edge, args.cap)
+    report = verify_collapse_structure(cg, args.cap)
     dot = cg.to_dot()
     body = {"report": report.to_json(), "dot": dot}
     lines = [f"{name} {'ok' if ok else 'VIOLATED'}" for name, ok in report.checks.items()]
     lines.extend(f"{k} {v}" for k, v in sorted(report.counts.items()))
     lines.append(dot.rstrip("\n"))
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0 if report.ok else 4
 
 
-def _cmd_nu(config):
-    if config.path_json is None:
-        raise GraphInputError("nu requires --path JSON")
+def _cmd_nu(args):
     try:
-        raw = json.loads(config.path_json)
+        raw = json.loads(args.path)
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"malformed --path JSON: {exc}") from None
     spec = PathSpec.from_json(raw)
-    g, descriptor = _read_input(config)
+    g, descriptor = _read_input(args)
     if spec.closed:
-        part = kappa_partition_bruteforce(g, config.brute_force_cap)
+        part = kappa_partition_bruteforce(g, args.cap)
         values = [
             {"class": i, "representative": rep.hex, "nu": nu_path(rep, spec)}
             for i, rep in enumerate(part.representatives)
@@ -232,11 +183,11 @@ def _cmd_nu(config):
     else:
         values = [
             {"orientation": o.hex, "nu": nu_path(o, spec)}
-            for o in enumerate_acyclic(g, config.brute_force_cap)
+            for o in enumerate_acyclic(g, args.cap)
         ]
         lines = [f"{v['orientation']}: {v['nu']}" for v in values]
         body = {"path": spec.to_json(), "per_orientation": values}
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0
 
 
@@ -293,27 +244,27 @@ def _verify_graph(g, cap):
     return checks, ok
 
 
-def _cmd_verify(config):
+def _cmd_verify(args):
     entries = []
     descriptor = {}
-    if config.corpus == "small":
+    if args.corpus == "small":
         for i, g in enumerate(connected_simple_graphs(5)):
             entries.append((f"small/{i}", g, None))
         descriptor["corpus"] = "small"
         descriptor["corpus_size"] = len(entries)
-    elif not config.random_corpus:
-        g, descriptor = _read_input(config)
+    elif not args.random_corpus:
+        g, descriptor = _read_input(args)
         entries.append(("input/0", g, None))
-    if config.random_corpus:
-        rng = random.Random(config.seed)
-        for i in range(config.random_corpus):
-            g, params = random_gnp_graph(rng, max_edges=config.brute_force_cap)
+    if args.random_corpus:
+        rng = random.Random(args.seed)
+        for i in range(args.random_corpus):
+            g, params = random_gnp_graph(rng, max_edges=args.cap)
             entries.append((f"gnp/{i}", g, params))
         descriptor["random_corpus"] = {
-            "count": config.random_corpus,
+            "count": args.random_corpus,
             "generator": (
                 "gnp, n uniform in 2..8, p uniform in 0.2..0.8,"
-                f" conditioned on m <= {config.brute_force_cap}"
+                f" conditioned on m <= {args.cap}"
             ),
         }
 
@@ -321,7 +272,7 @@ def _cmd_verify(config):
     failures = 0
     lines = []
     for label, g, params in entries:
-        checks, ok = _verify_graph(g, config.brute_force_cap)
+        checks, ok = _verify_graph(g, args.cap)
         if not ok:
             failures += 1
         entry = {
@@ -337,33 +288,15 @@ def _cmd_verify(config):
         graphs_out.append(entry)
         lines.append(f"{label} {'ok' if ok else 'FAIL'}")
     body = {
-        "seed": config.seed,
-        "cap": config.brute_force_cap,
+        "seed": args.seed,
+        "cap": args.cap,
         "graphs": graphs_out,
         "summary": {"graphs": len(entries), "failures": failures},
         "ok": failures == 0,
     }
     lines.append(f"graphs {len(entries)} failures {failures}")
-    _emit(config, _payload(config, descriptor, body), lines)
+    _emit(args, descriptor, body, lines)
     return 0 if failures == 0 else 4
-
-
-_HANDLERS = {
-    "kappa": _cmd_kappa,
-    "alpha": _cmd_alpha,
-    "tutte": _cmd_tutte,
-    "eval": _cmd_eval,
-    "classes": _cmd_classes,
-    "transversal": _cmd_transversal,
-    "collapse": _cmd_collapse,
-    "nu": _cmd_nu,
-    "verify": _cmd_verify,
-}
-
-
-def run(config):
-    """Dispatch one command; prints the report and returns the exit code."""
-    return _HANDLERS[config.command](config)
 
 
 def _default_cap():
@@ -385,28 +318,48 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text, brute_force=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("input", nargs="?", default="-", help="edge-list file or '-'")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=None, help="brute-force edge cap")
-        p.add_argument("--seed", type=int, default=0)
+        if brute_force:
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=None,
+                help=f"brute-force edge cap (default: ${CAP_ENV_VAR}, else "
+                f"{DEFAULT_BRUTE_FORCE_CAP})",
+            )
         return p
 
-    p = add("kappa", "class count by the deletion/contraction recursion")
+    p = add("kappa", _cmd_kappa, "class count by the deletion/contraction recursion")
     p.add_argument("--trace", action="store_true", help="attach the recursion tree")
-    add("alpha", "acyclic orientation count, brute force and Tutte at (2,0)")
-    add("tutte", "full Tutte polynomial")
-    p = add("eval", "Tutte polynomial value at an integer point")
+    add(
+        "alpha", _cmd_alpha,
+        "acyclic orientation count, brute force and Tutte at (2,0)", brute_force=True,
+    )
+    add("tutte", _cmd_tutte, "full Tutte polynomial")
+    p = add("eval", _cmd_eval, "Tutte polynomial value at an integer point")
     p.add_argument("--point", type=int, nargs=2, metavar=("X", "Y"), required=True)
-    add("classes", "brute-force click-class partition")
-    p = add("transversal", "orientations whose unique source is a fixed vertex")
+    add("classes", _cmd_classes, "brute-force click-class partition", brute_force=True)
+    p = add(
+        "transversal", _cmd_transversal,
+        "orientations whose unique source is a fixed vertex", brute_force=True,
+    )
     p.add_argument("--vertex", type=int, required=True)
-    p = add("collapse", "collapse graph at a cycle-edge: DOT plus structure report")
+    p = add(
+        "collapse", _cmd_collapse,
+        "collapse graph at a cycle-edge: DOT plus structure report", brute_force=True,
+    )
     p.add_argument("--edge", type=int, required=True)
-    p = add("nu", "signed edge count along a path, per class or per orientation")
+    p = add(
+        "nu", _cmd_nu,
+        "signed edge count along a path, per class or per orientation", brute_force=True,
+    )
     p.add_argument("--path", required=True, help='JSON {"vertices": [...], "closed": bool}')
-    p = add("verify", "cross-engine differential suite")
+    p = add("verify", _cmd_verify, "cross-engine differential suite", brute_force=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of --random-corpus")
     p.add_argument("--corpus", choices=("small",), default=None)
     p.add_argument("--random-corpus", type=int, default=None, metavar="N")
     return parser
@@ -415,27 +368,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cap = args.cap if args.cap is not None else _default_cap()
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            format=args.format,
-            brute_force_cap=cap,
-            seed=args.seed,
-            point=tuple(args.point) if getattr(args, "point", None) else None,
-            trace=getattr(args, "trace", False),
-            vertex=getattr(args, "vertex", None),
-            edge=getattr(args, "edge", None),
-            path_json=getattr(args, "path", None),
-            corpus=getattr(args, "corpus", None),
-            random_corpus=getattr(args, "random_corpus", None),
-        )
-        return run(config)
+        if "cap" in args:
+            if args.cap is None:
+                args.cap = _default_cap()
+            if args.cap < 1:
+                raise GraphInputError("brute-force cap must be at least 1")
+        return args.handler(args)
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: recursion too deep for this graph", file=sys.stderr)
         return 3
     except InternalInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)

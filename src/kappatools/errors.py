@@ -21,8 +21,8 @@ class EdgeListParseError(GraphInputError):
 class CapExceededError(RuntimeError):
     """A brute-force or recursion size cap was hit; names the cap."""
 
-    def __init__(self, what, size, cap):
-        super().__init__(f"{what} has {size} edges, exceeding the cap of {cap}")
+    def __init__(self, what, size, cap, unit="edges"):
+        super().__init__(f"{what} has {size} {unit}, exceeding the cap of {cap}")
         self.size = size
         self.cap = cap
 

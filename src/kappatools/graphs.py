@@ -3,8 +3,9 @@
 Vertices are dense integer labels 0..n-1.  Edges are addressed by their
 position in the edge list (edge-ids 0..m-1); parallel edges and loops are
 permitted and each edge is stored canonically as (min, max).  All
-operations are persistent: they return new graph values together with
-remap tables, and never renumber the edges of their input.
+operations are persistent: they return new graph values, never renumber
+the edges of their input, and deletion, contraction and simplification
+also return the remap tables that carry orientations across them.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class Multigraph:
                 )
             canonical.append((a, b) if a <= b else (b, a))
         object.__setattr__(self, "edges", tuple(canonical))
-
-    @classmethod
-    def from_edges(cls, n_vertices, edges):
-        return cls(n_vertices, tuple(tuple(e) for e in edges))
 
     @property
     def m(self):
@@ -248,31 +245,27 @@ class Multigraph:
         return len(self.connected_components()) <= 1
 
     def split_components(self):
-        """One ComponentPiece per connected component, relabeled densely."""
-        pieces = []
-        for block in self.connected_components():
-            relabel = {old: new for new, old in enumerate(block)}
-            members = set(block)
-            edge_ids = tuple(
-                i for i, (a, b) in enumerate(self.edges) if a in members
-            )
-            edges = tuple(
-                (relabel[self.edges[i][0]], relabel[self.edges[i][1]])
-                for i in edge_ids
-            )
-            pieces.append(
-                ComponentPiece(Multigraph(len(block), edges), tuple(block), edge_ids)
-            )
-        return pieces
+        """One graph per connected component, relabeled densely; vertices
+        and edges keep their relative order."""
+        blocks = self.connected_components()
+        piece_of = {}
+        relabel = {}
+        for i, block in enumerate(blocks):
+            for new, old in enumerate(block):
+                piece_of[old] = i
+                relabel[old] = new
+        edges = [[] for _ in blocks]
+        for a, b in self.edges:
+            edges[piece_of[a]].append((relabel[a], relabel[b]))
+        return [Multigraph(len(b), tuple(e)) for b, e in zip(blocks, edges)]
 
     def drop_isolated(self):
         """Remove degree-0 vertices, relabeling the rest densely."""
         deg = self.degrees
         keep = [v for v in range(self.n_vertices) if deg[v] > 0]
         relabel = {old: new for new, old in enumerate(keep)}
-        vertex_map = tuple(relabel.get(v) for v in range(self.n_vertices))
         edges = tuple((relabel[a], relabel[b]) for a, b in self.edges)
-        return VertexCompaction(Multigraph(len(keep), edges), vertex_map)
+        return Multigraph(len(keep), edges)
 
     # ----- serialization -----
 
@@ -302,19 +295,6 @@ class EdgeContraction:
 class Simplification:
     graph: Multigraph
     edge_map: tuple  # old edge-id -> surviving class representative, None for loops
-
-
-@dataclass(frozen=True)
-class VertexCompaction:
-    graph: Multigraph
-    vertex_map: tuple  # old vertex -> new vertex, None for dropped isolated ones
-
-
-@dataclass(frozen=True)
-class ComponentPiece:
-    graph: Multigraph
-    vertices: tuple  # piece label i corresponds to original vertex vertices[i]
-    edge_ids: tuple  # piece edge j corresponds to original edge edge_ids[j]
 
 
 def memo_key(g):

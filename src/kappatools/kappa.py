@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphInputError
+from .errors import CapExceededError, GraphInputError
 from .graphs import memo_key
+
+TRACE_LEAF_CAP = 10_000
 
 
 @dataclass
@@ -79,7 +81,7 @@ class _Engine:
     def solve(self, g):
         """Value of an arbitrary loop-free multigraph, plus its trace node."""
         s = g.simplify().graph
-        core = s.cycle_subgraph().drop_isolated().graph
+        core = s.cycle_subgraph().drop_isolated()
         bridge_factor = self.x ** (s.m - core.m)
         if core.m == 0:
             node = (
@@ -99,7 +101,7 @@ class _Engine:
             value = 1
             children = []
             for piece in pieces:
-                v, child = self._solve_component(piece.graph)
+                v, child = self._solve_component(piece)
                 value *= v
                 if self.build_trace:
                     children.append(child)
@@ -137,21 +139,20 @@ class _Engine:
         return value, node
 
 
-def kappa(g, *, rng=None, use_cache=True, cache=None):
+def kappa(g, *, rng=None):
     """Number of click-equivalence classes of acyclic orientations of g.
 
     Parallel edges are fine (they collapse); loops are rejected.  Pass an
     rng to recurse on randomly chosen cycle-edges instead of the
     lexicographically least one (the value must not change; differential
-    tests rely on this).  Pass use_cache=False for a cache-free run, or a
-    dict as `cache` to share memoized results across calls.  Cycle pieces
-    are answered in closed form and never reach the cache, so they count
-    as neither hits nor misses.
+    tests rely on this).  Each call memoizes into a fresh cache; its hits
+    and misses are returned as `cache_stats`.  Cycle pieces are answered
+    in closed form and never reach the cache, so they count as neither
+    hits nor misses.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")
-    memo = (cache if cache is not None else {}) if use_cache else None
-    engine = _Engine(memo, rng, build_trace=False)
+    engine = _Engine({}, rng, build_trace=False)
     value, _ = engine.solve(g)
     return KappaResult(value, None, engine.stats)
 
@@ -160,10 +161,14 @@ def kappa_with_trace(g, *, rng=None):
     """Like kappa, but cache-free and with the full recursion tree attached.
 
     Caching and the closed-form cycle rule are off, so the trace is the
-    complete unfolded recursion; every leaf contributes exactly 1.
+    complete unfolded recursion.  Every leaf is a base case worth 1 and
+    every product factor is at least 2, so the tree has at most kappa
+    leaves; kappa(g) is computed first, and a value above TRACE_LEAF_CAP
+    raises CapExceededError instead of building the tree.
     """
-    if g.has_loops:
-        raise GraphInputError("graph has loops; loops admit no acyclic orientation")
+    value = kappa(g).value
+    if value > TRACE_LEAF_CAP:
+        raise CapExceededError("trace", value, TRACE_LEAF_CAP, unit="possible leaves")
     engine = _Engine(None, rng, build_trace=True)
     value, node = engine.solve(g)
     return KappaResult(value, node, engine.stats)

@@ -90,9 +90,6 @@ class Orientation:
         a, b = self.graph.edges[e]
         return (a, b) if not (self.bits >> e) & 1 else (b, a)
 
-    def arcs(self):
-        return tuple(self.arc(e) for e in range(self.graph.m))
-
     @property
     def hex(self):
         return format(self.bits, "x")

@@ -63,14 +63,6 @@ class TuttePolynomial:
         rows[i][j] = c
         return cls(tuple(tuple(r) for r in rows))
 
-    @property
-    def x_degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def y_degree(self):
-        return len(self.coeffs[0]) - 1
-
     def coefficient(self, i, j):
         if 0 <= i < len(self.coeffs) and 0 <= j < len(self.coeffs[0]):
             return self.coeffs[i][j]
@@ -154,8 +146,8 @@ def tutte_polynomial(g, cap=None, rng=None):
 def _tutte_graph(g, memo, rng):
     result = TuttePolynomial.one()
     for piece in g.split_components():
-        if piece.graph.m:
-            result = result * _tutte_component(piece.graph, memo, rng)
+        if piece.m:
+            result = result * _tutte_component(piece, memo, rng)
     return result
 
 

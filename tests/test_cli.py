@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kappatools.cli import RunConfig, main
+from kappatools.cli import main
 from kappatools.corpus import cycle_graph
-from kappatools.errors import GraphInputError
+from kappatools.graphs import Multigraph
 
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 TREE_TEXT = "4 3\n0 1\n1 2\n1 3\n"
@@ -176,6 +180,10 @@ def test_bad_env_cap_is_exit_2(capsys, c5_file, monkeypatch):
     code, _, err = run_cli(capsys, "classes", c5_file)
     assert code == 2
     assert "KAPPA_BRUTE_CAP" in err
+    # kappa takes no brute-force cap, so it does not read the variable
+    code, out, _ = run_cli(capsys, "kappa", c5_file)
+    assert code == 0
+    assert out == "4\n"
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -205,10 +213,156 @@ def test_vertex_out_of_range_is_exit_2(capsys, c5_file):
     assert "out of range" in err
 
 
-def test_run_config_validates_point_usage():
-    with pytest.raises(GraphInputError):
-        RunConfig(command="eval")
-    with pytest.raises(GraphInputError):
-        RunConfig(command="kappa", point=(1, 0))
-    with pytest.raises(GraphInputError):
-        RunConfig(command="kappa", brute_force_cap=0)
+def test_argparse_enforces_point_usage_and_main_the_cap(capsys, c5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", c5_file])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", c5_file, "--point", "1", "0"])
+    assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "classes", c5_file, "--cap", "0")
+    assert code == 2
+    assert "at least 1" in err
+
+
+BRUTE_FORCE_ARGS = {
+    "alpha": [],
+    "classes": [],
+    "transversal": ["--vertex", "0"],
+    "collapse": ["--edge", "0"],
+    "nu": ["--path", '{"vertices": [0, 1]}'],
+    "verify": [],
+}
+
+
+def test_cap_only_on_brute_force_commands_and_seed_only_on_verify(capsys, c5_file):
+    for command, extra in BRUTE_FORCE_ARGS.items():
+        code, _, _ = run_cli(capsys, command, c5_file, *extra, "--cap", "10")
+        assert code == 0, command
+    for argv in (
+        ["kappa", c5_file, "--cap", "10"],
+        ["tutte", c5_file, "--cap", "10"],
+        ["eval", c5_file, "--point", "1", "0", "--cap", "10"],
+        ["classes", c5_file, "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+def test_non_utf8_file_is_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe 1\n")
+    code, _, err = run_cli(capsys, "kappa", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_undecodable_stdin_is_exit_2(capsys, monkeypatch):
+    # a stdin decoded with surrogateescape hands undecodable bytes on as lone
+    # surrogates, which cannot be encoded for the input hash
+    monkeypatch.setattr("sys.stdin", io.StringIO("\udcff"))
+    code, _, err = run_cli(capsys, "kappa", "-")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def theta_graph(paths, length):
+    """`paths` internally disjoint paths of `length` edges between 0 and 1."""
+    edges = []
+    n = 2
+    for _ in range(paths):
+        prev = 0
+        for _ in range(length - 1):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+        edges.append((prev, 1))
+    return Multigraph(n, tuple(edges))
+
+
+def test_too_deep_recursion_is_exit_3(capsys, tmp_path):
+    theta = tmp_path / "theta.txt"
+    theta.write_text(theta_graph(3, 200).to_edge_list_text())
+    code, out, err = run_cli(capsys, "kappa", str(theta))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: recursion too deep")
+
+    c500 = tmp_path / "c500.txt"
+    c500.write_text(cycle_graph(500).to_edge_list_text())
+    code, out, err = run_cli(capsys, "kappa", str(c500), "--trace")
+    assert code == 3
+    assert err.startswith("error: recursion too deep")
+
+
+def test_trace_over_the_leaf_cap_is_exit_3_at_once(capsys, tmp_path):
+    cols = 5
+    edges = [(v, v + 1) for v in range(20) if v % cols != cols - 1]
+    edges += [(v, v + cols) for v in range(20 - cols)]
+    grid = tmp_path / "grid4x5.txt"
+    grid.write_text(Multigraph(20, tuple(edges)).to_edge_list_text())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kappa", str(grid), "--trace", "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert "trace has 441765 possible leaves, exceeding the cap of 10000" in err
+
+
+COMMANDS = ("kappa", "alpha", "tutte", "eval", "classes", "transversal", "collapse", "nu", "verify")
+
+
+@st.composite
+def edge_list_bytes(draw):
+    """A valid edge list with parallels and maybe a loop, one corrupted by a
+    junk line, or arbitrary bytes."""
+    kind = draw(st.sampled_from(("valid", "valid", "corrupt", "bytes")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=7))
+    if draw(st.integers(0, 3)) == 0:
+        v = draw(vertex)
+        edges.insert(draw(st.integers(0, len(edges))), (v, v))
+    lines = [f"{n} {len(edges)}"] + [f"{a} {b}" for a, b in edges]
+    if kind == "corrupt":
+        junk = st.one_of(st.text(max_size=6), st.sampled_from(["-1 0", f"0 {n}", "1", "2 1 0"]))
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def command_flags(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    small = st.integers(-1, 7)
+    flags = []
+    if command == "kappa" and draw(st.booleans()):
+        flags.append("--trace")
+    elif command == "eval":
+        flags += ["--point", str(draw(small)), str(draw(small))]
+    elif command == "transversal":
+        flags.append(f"--vertex={draw(small)}")
+    elif command == "collapse":
+        flags.append(f"--edge={draw(small)}")
+    elif command == "nu":
+        path = {"vertices": draw(st.lists(small, max_size=5)), "closed": draw(st.booleans())}
+        flags.append(f"--path={draw(st.one_of(st.just(json.dumps(path)), st.text(max_size=8)))}")
+    elif command == "verify" and draw(st.booleans()):
+        flags.append(f"--seed={draw(small)}")
+    if draw(st.booleans()):
+        flags += ["--format", "json"]
+    return command, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=edge_list_bytes(), cli=command_flags())
+def test_fuzzed_input_exits_with_a_documented_code(tmp_path_factory, data, cli):
+    path = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    path.write_bytes(data)
+    command, flags = cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(path), *flags])
+    assert code in (0, 2, 3, 4)

@@ -84,10 +84,23 @@ def test_value_is_one_exactly_when_no_cycles_survive_pruning():
         assert (value == 1) == (pruned.m == 0)
 
 
+def wheel_graph(n):
+    """Hub vertex 0 joined to every rim vertex of a cycle on 1..n-1."""
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    spokes = [(0, i) for i in range(1, n)]
+    return Multigraph(n, tuple(spokes + rim))
+
+
+def complete_bipartite(a, b):
+    return Multigraph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
 def test_matches_bruteforce_and_tutte_on_random_graphs():
     rng = random.Random(17)
-    for _ in range(40):
-        g = random_connected_graph(rng, max_edges=11, max_vertices=7)
+    graphs = [random_connected_graph(rng, max_edges=11, max_vertices=7) for _ in range(40)]
+    graphs += [wheel_graph(n) for n in range(4, 8)]
+    graphs += [complete_bipartite(a, b) for a, b in ((2, 2), (2, 3), (3, 3))]
+    for g in graphs:
         value = kappa(g).value
         assert value == kappa_partition_bruteforce(g).class_count
         assert value == tutte_polynomial(g).evaluate(1, 0)
@@ -103,21 +116,12 @@ def test_edge_choice_does_not_matter():
             assert kappa(g, rng=chooser).value == expected
 
 
-def test_cache_free_mode_agrees():
-    g = complete_graph(5)
-    cached = kappa(g)
-    uncached = kappa(g, use_cache=False)
-    assert cached.value == uncached.value
-    assert cached.cache_stats.hits > 0
-    assert uncached.cache_stats.hits == 0
-
-
-def test_shared_cache_is_reused_across_calls():
-    cache = {}
-    first = kappa(complete_graph(4), cache=cache)
-    again = kappa(complete_graph(4), cache=cache)
-    assert first.value == again.value == 6
-    assert again.cache_stats.misses == 0
+def test_cache_stats_count_hits_and_each_call_starts_fresh():
+    first = kappa(complete_graph(5))
+    again = kappa(complete_graph(5))
+    assert first.value == again.value == 24
+    assert first.cache_stats.hits > 0
+    assert again.cache_stats == first.cache_stats
 
 
 # ----- traces -----
@@ -141,6 +145,17 @@ def test_triangle_trace_shape():
 def test_k4_trace_leaf_count_equals_value():
     result = kappa_with_trace(complete_graph(4))
     assert result.trace.leaf_count() == result.value == 6
+
+
+def test_trace_leaf_count_is_at_most_the_value():
+    # products multiply their factors' values but add their leaves
+    three_triangles = Multigraph(
+        9, tuple((3 * k + a, 3 * k + b) for k in range(3) for a, b in ((0, 1), (1, 2), (0, 2)))
+    )
+    result = kappa_with_trace(three_triangles)
+    assert result.trace.rule == "product"
+    assert result.trace.leaf_count() == 6
+    assert result.value == 8
 
 
 def test_cycle_trace_unfolds_instead_of_closed_form():
