@@ -21,7 +21,7 @@ from .graphs import Multigraph, UnionFind
 DEFAULT_BRUTE_FORCE_CAP = 20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _bit_tables(g):
     """Per vertex: masks of edges where it is the smaller / larger endpoint."""
     smaller = [0] * g.n_vertices
@@ -39,10 +39,13 @@ def _require_loop_free(g):
 
 
 def _is_acyclic_bits(g, bits):
+    return _peels(_bit_tables(g), (1 << g.m) - 1, bits)
+
+
+def _peels(tables, active, bits):
     """Peel source vertices until no edge remains; a stall means a cycle."""
-    smaller, larger, incident = _bit_tables(g)
-    active = (1 << g.m) - 1
-    n = g.n_vertices
+    smaller, larger, incident = tables
+    n = len(incident)
     while active:
         removed = 0
         for v in range(n):
@@ -66,9 +69,11 @@ def _check_cap(g, cap):
         raise CapExceededError("graph", g.m, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _acyclic_masks(g):
-    return tuple(bits for bits in range(1 << g.m) if _is_acyclic_bits(g, bits))
+    tables = _bit_tables(g)
+    full = (1 << g.m) - 1
+    return tuple(bits for bits in range(full + 1) if _peels(tables, full, bits))
 
 
 @dataclass(frozen=True)
@@ -238,25 +243,26 @@ def cut_equivalence_classes(g, cap=None):
     """Transitive closure of cut-equivalence over simplify(g), as bit classes.
 
     Computed independently of clicks: for every acyclic orientation, every
-    vertex bipartition is tried, and orientations differing exactly by an
-    oriented cut are merged.  Returns the same (sorted) shape that
-    KappaPartition.as_bit_classes() produces.
+    bipartition of the vertices that touch an edge is tried, and
+    orientations differing exactly by an oriented cut are merged.  Returns
+    the same (sorted) shape that KappaPartition.as_bit_classes() produces.
     """
     _require_loop_free(g)
     s = g.simplify().graph
     _check_cap(s, cap)
     masks = _acyclic_masks(s)
     index = {bits: i for i, bits in enumerate(masks)}
-    n = s.n_vertices
+    # Isolated vertices cross no edge: every bipartition of the vertices
+    # that touch an edge is tried once, with the first of them on `side`.
+    touched = sorted({v for e in s.edges for v in e})
+    slot = {v: i for i, v in enumerate(touched)}
     cuts = []
-    for side in range(1, 1 << n, 2):  # subsets containing vertex 0
-        if side == (1 << n) - 1:
-            continue
+    for side in range(1, (1 << len(touched)) - 1, 2):
         cut_mask = 0
         rev_mask = 0  # cut edges whose larger endpoint is inside `side`
         for eid, (a, b) in enumerate(s.edges):
-            a_in = (side >> a) & 1
-            b_in = (side >> b) & 1
+            a_in = (side >> slot[a]) & 1
+            b_in = (side >> slot[b]) & 1
             if a_in != b_in:
                 cut_mask |= 1 << eid
                 if b_in:

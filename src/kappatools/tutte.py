@@ -1,11 +1,16 @@
-"""Tutte polynomial by deletion/contraction, with point evaluations.
+"""Tutte polynomial by a frontier sum over edge subsets, with point evaluations.
 
-The base case is a graph of bridges and loops only, contributing
-x^bridges * y^loops.  Loops are never contracted; they ride along to the
-base case.  Evaluations at y=0 do not build the polynomial: they run the
-one y=0 engine of `kappatools.kappa` (the same recursion that counts
-click-classes), which drops every branch whose graph contains a loop,
-since all of its terms vanish there, and sums cycles in closed form.
+T(x, y) is the rank-nullity sum over all edge subsets A of
+(x-1)^(c(A)-c(E)) (y-1)^(|A|-n+c(A)), with c the number of components.
+`tutte_polynomial` computes it in one pass over the edges (Sekine, Imai
+and Tani, ISAAC 1995): the vertices are taken in breadth-first order, and
+for each partition of the frontier (the vertices seen that still have
+edges to come) it keeps the number of subsets per (closed components,
+|A|).  The work grows with the number of frontier partitions, not with
+2^m.  Evaluations at y=0 do not build the polynomial: they run the one
+y=0 engine of `kappatools.kappa` (the deletion/contraction recursion that
+counts click-classes), so the polynomial and that recursion are
+independent routes to kappa = T(1, 0).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
-from .graphs import EdgeKind, UnionFind, memo_key
+from .graphs import UnionFind
 from .kappa import _Engine
 
 DEFAULT_TUTTE_CAP = 30
@@ -131,47 +136,161 @@ def _check_tutte_cap(g, cap):
         raise CapExceededError("graph", g.m, cap)
 
 
-def tutte_polynomial(g, cap=None, rng=None):
+def tutte_polynomial(g, cap=None):
     """Full Tutte polynomial of a multigraph (loops and parallels included).
 
-    Recursion is on the lexicographically least cycle-edge unless an rng is
-    supplied, in which case a random cycle-edge is used (the result must be
-    identical; differential tests rely on it).
+    Each loop contributes a factor y and isolated vertices contribute
+    nothing; the rest is the rank-nullity sum over all edge subsets A,
+    computed by one frontier pass (`_subset_counts`) and shifted from
+    powers of (x-1), (y-1) to powers of x, y.
     """
     _check_tutte_cap(g, cap)
-    memo = {} if rng is None else None
-    return _tutte_graph(g, memo, rng)
+    edges = [e for e in g.edges if e[0] != e[1]]
+    return _from_corank_nullity(_subset_counts(g.n_vertices, edges), g.m - len(edges))
 
 
-def _tutte_graph(g, memo, rng):
-    result = TuttePolynomial.one()
-    for piece in g.split_components():
-        if piece.m:
-            result = result * _tutte_component(piece, memo, rng)
-    return result
+def _frontier_order(n, edges):
+    """Vertices that touch an edge, in breadth-first order.
+
+    Each component starts at its vertex of least degree and neighbours
+    are queued in (degree, label) order, which keeps the frontier narrow
+    on paths, grids and wheels.
+    """
+    degree = [0] * n
+    adjacent = [set() for _ in range(n)]
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+
+    def rank(v):
+        return degree[v], v
+
+    seen = [False] * n
+    order = []
+    for root in sorted(range(n), key=rank):
+        if seen[root] or not degree[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in sorted(adjacent[v], key=rank):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+    return order
 
 
-def _tutte_component(c, memo, rng):
-    key = memo_key(c) if memo is not None else None
-    if memo is not None and key in memo:
-        return memo[key]
-    kinds = c.classify_edges()
-    cycle_ids = [i for i, k in enumerate(kinds) if k is EdgeKind.CYCLE_EDGE]
-    if not cycle_ids:
-        b = sum(1 for k in kinds if k is EdgeKind.BRIDGE)
-        loops = len(kinds) - b
-        poly = TuttePolynomial.monomial(b, loops)
-    else:
-        if rng is None:
-            eid = min(cycle_ids, key=lambda i: (c.edges[i], i))
-        else:
-            eid = rng.choice(cycle_ids)
-        poly = _tutte_graph(c.delete_edge(eid).graph, memo, rng) + _tutte_graph(
-            c.contract_edge(eid).graph, memo, rng
-        )
-    if memo is not None:
-        memo[key] = poly
-    return poly
+def _subset_counts(n, edges):
+    """{(corank, nullity): number of edge subsets A} of a loop-free graph.
+
+    corank = c(A) - c(E) and nullity = |A| - n + c(A), with c counting the
+    components of (V, A) over the vertices that touch an edge.  The edges
+    are taken in frontier order, and a vertex leaves the frontier after
+    its last edge.  For every canonical partition of the frontier vertices
+    (block labels in order of first occurrence) one integer holds the
+    number of subsets reaching it per (closed, |A|), where closed counts
+    the components that left the frontier: that count sits in the bits
+    from (closed * (m + 1) + |A|) * (m + 1) up.  No count exceeds 2^m, so
+    m + 1 bits per slot never carry, and taking an edge or closing a
+    component is one shift.
+    """
+    order = _frontier_order(n, edges)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in edges)
+    last = {}
+    for i, (hi, lo) in enumerate(edges):
+        last[hi] = last[lo] = i
+    bits = len(edges) + 1
+    closes = bits * bits
+    states = {(): 1}
+    frontier = []
+    i = 0
+    for p in range(len(order)):
+        frontier.append(p)
+        states = {
+            blocks + (max(blocks, default=-1) + 1,): weight
+            for blocks, weight in states.items()
+        }
+        while i < len(edges) and edges[i][0] == p:
+            ia, ib = frontier.index(edges[i][1]), len(frontier) - 1
+            out = dict(states)
+            for blocks, weight in states.items():
+                lo, hi = blocks[ia], blocks[ib]
+                if lo != hi:
+                    if lo > hi:
+                        lo, hi = hi, lo
+                    blocks = tuple([lo if b == hi else b - (b > hi) for b in blocks])
+                out[blocks] = out.get(blocks, 0) + (weight << bits)
+            states = out
+            for v in edges[i]:
+                if last[v] == i:
+                    states = _retire(states, frontier.index(v), closes)
+                    frontier.remove(v)
+            i += 1
+    (weight,) = states.values()
+    mask = (1 << bits) - 1
+    by_closed = {}
+    for slot in range(weight.bit_length() // bits + 1):
+        count = (weight >> slot * bits) & mask
+        if count:
+            by_closed[divmod(slot, bits)] = count
+    least = min(closed for closed, _ in by_closed)
+    return {
+        (closed - least, size - len(order) + closed): count
+        for (closed, size), count in by_closed.items()
+    }
+
+
+def _retire(states, j, closes):
+    """Drop frontier slot j from every partition; a block that loses its
+    last frontier vertex is a closed component, one shift by `closes`."""
+    out = {}
+    for blocks, weight in states.items():
+        b = blocks[j]
+        rest = blocks[:j] + blocks[j + 1 :]
+        if b not in rest:
+            weight <<= closes
+            rest = tuple([x - (x > b) for x in rest])
+        elif b not in blocks[:j]:
+            relabel = {}
+            rest = tuple([relabel.setdefault(x, len(relabel)) for x in rest])
+        out[rest] = out.get(rest, 0) + weight
+    return out
+
+
+def _from_corank_nullity(counts, loops=0):
+    """y^loops * sum of count (x-1)^i (y-1)^j over counts {(i, j): count}."""
+    rows = max(i for i, _ in counts) + 1
+    cols = max(j for _, j in counts) + 1
+    table = [[0] * cols for _ in range(rows)]
+    for (i, j), count in counts.items():
+        table[i][j] += count
+    # (t-1)^k = sum over a of comb(k, a) (-1)^(k-a) t^a, once along each axis
+    signed = [
+        [comb(k, a) * (-1) ** (k - a) for a in range(k + 1)]
+        for k in range(max(rows, cols))
+    ]
+
+    def shift_rows(table):
+        out = []
+        for a in range(len(table)):
+            acc = [0] * len(table[0])
+            for k in range(a, len(table)):
+                c = signed[k][a]
+                acc = [s + c * t for s, t in zip(acc, table[k])]
+            out.append(acc)
+        return out
+
+    table = shift_rows(list(zip(*shift_rows(table))))
+    table = [[0] * loops + list(row) for row in zip(*table)]
+    return TuttePolynomial(tuple(tuple(r) for r in table))
 
 
 def tutte_eval(g, x, y, cap=None):
@@ -180,7 +299,7 @@ def tutte_eval(g, x, y, cap=None):
     At y=0 the deletion/contraction engine of `kappatools.kappa` runs with
     a fresh memo: a loop makes the value 0, parallel classes collapse,
     bridges factor out as powers of x, and cycles are summed in closed
-    form.  Other points evaluate the full polynomial.
+    form.  Other points evaluate the full polynomial of the frontier sum.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise GraphInputError("evaluation point must be a pair of integers")
@@ -218,13 +337,4 @@ def tutte_oracle_rank_nullity(g, cap=None):
     for mask in range(1 << m):
         r = rank(mask)
         counts[(r_all - r, bin(mask).count("1") - r)] += 1
-    coeff = defaultdict(int)
-    for (i, j), cnt in counts.items():
-        for a in range(i + 1):
-            xa = cnt * comb(i, a) * (-1) ** (i - a)
-            for b in range(j + 1):
-                coeff[(a, b)] += xa * comb(j, b) * (-1) ** (j - b)
-    rows = max((i for i, _ in coeff), default=0) + 1
-    cols = max((j for _, j in coeff), default=0) + 1
-    table = [[coeff.get((i, j), 0) for j in range(cols)] for i in range(rows)]
-    return TuttePolynomial(tuple(tuple(r) for r in table))
+    return _from_corank_nullity(counts)

@@ -114,6 +114,15 @@ def test_verify_single_graph(capsys, c5_file):
     assert out.splitlines()[-1] == "graphs 1 failures 0"
 
 
+def test_verify_ignores_isolated_vertices(capsys, tmp_path):
+    # cut classes once tried all 2^(n-1) bipartitions, isolated vertices too
+    path = tmp_path / "edge40.txt"
+    path.write_text("40 1\n0 1\n")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "graphs 1 failures 0"
+
+
 def test_verify_random_corpus_is_deterministic(capsys):
     args = ("verify", "--random-corpus", "6", "--seed", "3", "--format", "json")
     code1, out1, _ = run_cli(capsys, *args)

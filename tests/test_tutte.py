@@ -1,8 +1,11 @@
-"""Tutte polynomial engine against the subset-expansion oracle."""
+"""Tutte polynomial engine against the subset-expansion oracle, networkx
+and the y=0 recursion."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappatools.corpus import (
     complete_graph,
@@ -180,13 +183,114 @@ def test_evaluation_at_2_2_is_two_to_the_m():
         assert tutte_polynomial(g).evaluate(2, 2) == 2**g.m
 
 
-def test_random_edge_choice_gives_identical_polynomial():
+def test_relabelling_gives_identical_polynomial():
     rng = random.Random(59)
     for _ in range(15):
         g = random_multigraph(rng, max_vertices=5, max_edges=8)
         expected = tutte_polynomial(g)
         for trial in range(3):
-            assert tutte_polynomial(g, rng=random.Random(trial)) == expected
+            shuffle = random.Random(trial)
+            perm = list(range(g.n_vertices))
+            shuffle.shuffle(perm)
+            edges = [(perm[a], perm[b]) for a, b in g.edges]
+            shuffle.shuffle(edges)
+            assert tutte_polynomial(Multigraph(g.n_vertices, tuple(edges))) == expected
+
+
+@st.composite
+def multigraphs(draw, max_vertices=7, max_edges=10):
+    """Loops, parallel edges, isolated vertices and several components;
+    n = 0 and m = 0 included."""
+    n = draw(st.integers(0, max_vertices))
+    if not n:
+        return Multigraph(0, ())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Multigraph(n, tuple(draw(st.lists(pairs, max_size=max_edges))))
+
+
+@given(multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_frontier_sum_matches_the_subset_oracle(g):
+    assert tutte_polynomial(g) == tutte_oracle_rank_nullity(g)
+
+
+def _dodecahedron():
+    """Two pentagons 0-4 and 15-19 joined through a 10-cycle 5, 10, 6, 11, ..."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(15 + i, 15 + (i + 1) % 5) for i in range(5)]
+    middle = [(5 + i, 10 + i) for i in range(5)]
+    middle += [(10 + i, 5 + (i + 1) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)] + [(10 + i, 15 + i) for i in range(5)]
+    return Multigraph(20, tuple(outer + middle + inner + spokes))
+
+
+def _grid(rows, cols):
+    def v(r, c):
+        return r * cols + c
+
+    right = [(v(r, c), v(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    down = [(v(r, c), v(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Multigraph(rows * cols, tuple(right + down))
+
+
+def _wheel(n):
+    rim = n - 1
+    spokes = [(0, i) for i in range(1, n)]
+    return Multigraph(n, tuple(spokes + [(i, i % rim + 1) for i in range(1, n)]))
+
+
+# graph, m, spanning trees T(1, 1): all within the default cap of 30 edges
+CAP_SIZED = {
+    "dodecahedron": (_dodecahedron(), 30, 5_184_000),
+    "grid3x6": (_grid(3, 6), 27, 380_160),
+    "W16": (_wheel(16), 30, 1_860_496),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_SIZED))
+def test_cap_sized_graphs_against_the_y0_recursion(name):
+    g, m, trees = CAP_SIZED[name]
+    assert g.m == m
+    poly = tutte_polynomial(g)
+    assert poly.evaluate(1, 1) == trees
+    assert poly.evaluate(2, 2) == 2**m
+    assert poly.evaluate(1, 0) == kappa(g).value
+    assert poly.evaluate(2, 0) == tutte_eval(g, 2, 0)
+
+
+NETWORKX_CASES = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "C6": cycle_graph(6),
+    "path": path_graph(4),
+    "petersen": Multigraph(
+        10,
+        tuple((i, (i + 1) % 5) for i in range(5))
+        + tuple((i, i + 5) for i in range(5))
+        + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+    ),
+    "grid3x3": _grid(3, 3),
+    "W6": _wheel(6),
+    "parallel-triangle": Multigraph(3, ((0, 1), (0, 1), (1, 2), (0, 2))),
+    "loop-and-bridge": Multigraph(3, ((0, 1), (1, 1), (1, 2), (1, 2))),
+    "two-components": Multigraph(
+        7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 3), (3, 6))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKX_CASES))
+def test_matches_networkx(name):
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    g = NETWORKX_CASES[name]
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(range(g.n_vertices))
+    graph.add_edges_from(g.edges)
+    x, y = sympy.symbols("x y")
+    theirs = sympy.Poly(nx.tutte_polynomial(graph), x, y).as_dict()
+    ours = {(i, j): c for i, j, c in tutte_polynomial(g).terms()}
+    assert ours == {k: int(v) for k, v in theirs.items()}
 
 
 def test_polynomial_cap():
