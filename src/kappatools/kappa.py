@@ -1,21 +1,25 @@
 """Fast click-class counting, no orientation enumeration.
 
 One deletion/contraction engine evaluates the Tutte polynomial on the
-line y = 0: `_Engine(x=1)` gives the class count kappa = T(1, 0), and
+line y = 0: `_Engine(1)` gives the class count kappa = T(1, 0), and
 `tutte_eval(g, x, 0)` runs the same engine at any integer x (x = 2
 counts acyclic orientations).  The value for a graph is the value after
 deleting a cycle-edge plus the value after contracting it.  Three
 prunings keep the recursion small: parallel edges collapse, each bridge
 contributes a factor x, and disjoint pieces multiply.  A piece that is a
 cycle C_m is answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at
-x = 1), without a memo key or a recursion; traces skip this rule so they
-keep the complete unfolded recursion.  Other pieces are memoized on a
-normalized graph key.
+x = 1), without a memo key or a recursion.  Other pieces are memoized on
+a normalized graph key.
+
+`kappa_with_trace` runs a separate recursion, `_trace`: the same
+deletion/contraction at x = 1, unmemoized and without the cycle rule, so
+its tree is the complete unfolded recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .errors import CapExceededError, GraphInputError
 from .graphs import memo_key
@@ -68,100 +72,90 @@ def _cycle_value(m, x):
     return (x**m - x) // (x - 1)
 
 
-class _Engine:
-    """T(g; x, 0) by deletion/contraction; memo values are only valid for one x."""
+def _least_edge(c):
+    return min(range(c.m), key=lambda i: c.edges[i])
 
-    def __init__(self, memo, rng, build_trace, x=1):
-        self.memo = memo  # None disables caching entirely
-        self.rng = rng
-        self.build_trace = build_trace
+
+class _Engine:
+    """T(g; x, 0) by deletion/contraction, memoized for one x."""
+
+    def __init__(self, x):
         self.x = x
+        self.memo = {}
         self.stats = CacheStats()
 
     def solve(self, g):
-        """Value of an arbitrary loop-free multigraph, plus its trace node."""
+        """Value of an arbitrary loop-free multigraph."""
         s = g.simplify().graph
         core = s.cycle_subgraph().drop_isolated()
-        bridge_factor = self.x ** (s.m - core.m)
-        if core.m == 0:
-            node = (
-                TraceNode(memo_key(core), "base", None, 1, ())
-                if self.build_trace
-                else None
-            )
-            return bridge_factor, node
-        value, node = self._solve_core(core)
-        if self.build_trace and s.m != core.m:
-            node = TraceNode(memo_key(s), "bridge-prune", None, value, (node,))
-        return bridge_factor * value, node
-
-    def _solve_core(self, core):
-        pieces = core.split_components()
-        if len(pieces) > 1:
-            value = 1
-            children = []
-            for piece in pieces:
-                v, child = self._solve_component(piece)
-                value *= v
-                if self.build_trace:
-                    children.append(child)
-            node = (
-                TraceNode(memo_key(core), "product", None, value, tuple(children))
-                if self.build_trace
-                else None
-            )
-            return value, node
-        return self._solve_component(core)
+        value = self.x ** (s.m - core.m)
+        for piece in core.split_components():
+            value *= self._solve_component(piece)
+        return value
 
     def _solve_component(self, c):
         """c is connected, simple, bridge-free, with at least one edge."""
-        if c.m == c.n_vertices and not self.build_trace:
-            return _cycle_value(c.m, self.x), None
+        if c.m == c.n_vertices:
+            return _cycle_value(c.m, self.x)
         key = memo_key(c)
-        if self.memo is not None and key in self.memo:
+        if key in self.memo:
             self.stats.hits += 1
-            return self.memo[key], None
+            return self.memo[key]
         self.stats.misses += 1
-        if self.rng is None:
-            eid = min(range(c.m), key=lambda i: c.edges[i])
-        else:
-            eid = self.rng.randrange(c.m)
-        v1, n1 = self.solve(c.delete_edge(eid).graph)
-        v2, n2 = self.solve(c.contract_edge(eid).graph)
-        value = v1 + v2
-        if self.memo is not None:
-            self.memo[key] = value
-        node = (
-            TraceNode(key, "recursion", c.edges[eid], value, (n1, n2))
-            if self.build_trace
-            else None
-        )
-        return value, node
+        eid = _least_edge(c)
+        value = self.solve(c.delete_edge(eid).graph) + self.solve(c.contract_edge(eid).graph)
+        self.memo[key] = value
+        return value
 
 
-def kappa(g, *, rng=None):
+def _trace(g):
+    """The unfolded recursion tree of g at x = 1."""
+    s = g.simplify().graph
+    core = s.cycle_subgraph().drop_isolated()
+    if core.m == 0:
+        return TraceNode(memo_key(core), "base", None, 1, ())
+    pieces = core.split_components()
+    if len(pieces) == 1:
+        node = _trace_component(core)
+    else:
+        children = tuple(_trace_component(p) for p in pieces)
+        value = prod(c.value for c in children)
+        node = TraceNode(memo_key(core), "product", None, value, children)
+    if s.m != core.m:
+        node = TraceNode(memo_key(s), "bridge-prune", None, node.value, (node,))
+    return node
+
+
+def _trace_component(c):
+    """c is connected, simple, bridge-free, with at least one edge."""
+    eid = _least_edge(c)
+    children = (_trace(c.delete_edge(eid).graph), _trace(c.contract_edge(eid).graph))
+    value = children[0].value + children[1].value
+    return TraceNode(memo_key(c), "recursion", c.edges[eid], value, children)
+
+
+def kappa(g):
     """Number of click-equivalence classes of acyclic orientations of g.
 
-    Parallel edges are fine (they collapse); loops are rejected.  Pass an
-    rng to recurse on randomly chosen cycle-edges instead of the
-    lexicographically least one (the value must not change; differential
-    tests rely on this).  Each call memoizes into a fresh cache; its hits
-    and misses are returned as `cache_stats`.  Cycle pieces are answered
-    in closed form and never reach the cache, so they count as neither
-    hits nor misses.
+    Parallel edges are fine (they collapse); loops are rejected.  The
+    recursion splits the lexicographically least cycle-edge.  Each call
+    memoizes into a fresh cache; its hits and misses are returned as
+    `cache_stats`.  Cycle pieces are answered in closed form and never
+    reach the cache, so they count as neither hits nor misses.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")
-    engine = _Engine({}, rng, build_trace=False)
-    value, _ = engine.solve(g)
+    engine = _Engine(1)
+    value = engine.solve(g)
     return KappaResult(value, None, engine.stats)
 
 
-def kappa_with_trace(g, *, rng=None):
-    """Like kappa, but cache-free and with the full recursion tree attached.
+def kappa_with_trace(g):
+    """Like kappa, but with the full recursion tree attached.
 
-    Caching and the closed-form cycle rule are off, so the trace is the
-    complete unfolded recursion.  Every leaf is a base case worth 1 and
+    The tree comes from a separate recursion that has no memo and no
+    closed-form cycle rule, so it is the complete unfolded recursion and
+    its `cache_stats` stay zero.  Every leaf is a base case worth 1 and
     every product factor is at least 2, so the tree has at most kappa
     leaves; kappa(g) is computed first, and a value above TRACE_LEAF_CAP
     raises CapExceededError instead of building the tree.
@@ -169,6 +163,5 @@ def kappa_with_trace(g, *, rng=None):
     value = kappa(g).value
     if value > TRACE_LEAF_CAP:
         raise CapExceededError("trace", value, TRACE_LEAF_CAP, unit="possible leaves")
-    engine = _Engine(None, rng, build_trace=True)
-    value, node = engine.solve(g)
-    return KappaResult(value, node, engine.stats)
+    node = _trace(g)
+    return KappaResult(node.value, node)

@@ -243,31 +243,35 @@ def cut_equivalence_classes(g, cap=None):
     """Transitive closure of cut-equivalence over simplify(g), as bit classes.
 
     Computed independently of clicks: for every acyclic orientation, every
-    bipartition of the vertices that touch an edge is tried, and
-    orientations differing exactly by an oriented cut are merged.  Returns
-    the same (sorted) shape that KappaPartition.as_bit_classes() produces.
+    bipartition of each connected component is tried, with the rest of the
+    graph outside, and orientations differing exactly by an oriented cut
+    are merged.  This gives the same classes as trying every bipartition of
+    the whole graph: reversing an oriented cut reverses each component's
+    restriction of it, and each restriction is itself an oriented cut.
+    Returns the same (sorted) shape that KappaPartition.as_bit_classes()
+    produces.
     """
     _require_loop_free(g)
     s = g.simplify().graph
     _check_cap(s, cap)
     masks = _acyclic_masks(s)
     index = {bits: i for i, bits in enumerate(masks)}
-    # Isolated vertices cross no edge: every bipartition of the vertices
-    # that touch an edge is tried once, with the first of them on `side`.
-    touched = sorted({v for e in s.edges for v in e})
-    slot = {v: i for i, v in enumerate(touched)}
     cuts = []
-    for side in range(1, (1 << len(touched)) - 1, 2):
-        cut_mask = 0
-        rev_mask = 0  # cut edges whose larger endpoint is inside `side`
-        for eid, (a, b) in enumerate(s.edges):
-            a_in = (side >> slot[a]) & 1
-            b_in = (side >> slot[b]) & 1
-            if a_in != b_in:
-                cut_mask |= 1 << eid
-                if b_in:
-                    rev_mask |= 1 << eid
-        if cut_mask:
+    for block in s.connected_components():
+        # Each bipartition of the component once, its first vertex on
+        # `side`; a single (isolated) vertex has none.
+        slot = {v: i for i, v in enumerate(block)}
+        edges = [(eid, slot[a], slot[b]) for eid, (a, b) in enumerate(s.edges) if a in slot]
+        for side in range(1, (1 << len(block)) - 1, 2):
+            cut_mask = 0
+            rev_mask = 0  # cut edges whose larger endpoint is inside `side`
+            for eid, a, b in edges:
+                a_in = (side >> a) & 1
+                b_in = (side >> b) & 1
+                if a_in != b_in:
+                    cut_mask |= 1 << eid
+                    if b_in:
+                        rev_mask |= 1 << eid
             cuts.append((cut_mask, rev_mask, cut_mask ^ rev_mask))
     uf = UnionFind(len(masks))
     for i, bits in enumerate(masks):

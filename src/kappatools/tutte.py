@@ -54,20 +54,6 @@ class TuttePolynomial:
             width -= 1
         object.__setattr__(self, "coeffs", tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def zero(cls):
-        return cls(((0,),))
-
-    @classmethod
-    def one(cls):
-        return cls(((1,),))
-
-    @classmethod
-    def monomial(cls, i, j, c=1):
-        rows = [[0] * (j + 1) for _ in range(i + 1)]
-        rows[i][j] = c
-        return cls(tuple(tuple(r) for r in rows))
-
     def coefficient(self, i, j):
         if 0 <= i < len(self.coeffs) and 0 <= j < len(self.coeffs[0]):
             return self.coeffs[i][j]
@@ -307,8 +293,7 @@ def tutte_eval(g, x, y, cap=None):
     if y == 0:
         if g.has_loops:
             return 0
-        value, _ = _Engine({}, None, build_trace=False, x=x).solve(g)
-        return value
+        return _Engine(x).solve(g)
     return tutte_polynomial(g, cap).evaluate(x, y)
 
 

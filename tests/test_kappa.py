@@ -16,7 +16,7 @@ from kappatools.errors import GraphInputError
 from kappatools.graphs import Multigraph
 from kappatools.kappa import kappa, kappa_with_trace
 from kappatools.orientations import kappa_partition_bruteforce
-from kappatools.tutte import tutte_polynomial
+from kappatools.tutte import tutte_eval, tutte_polynomial
 
 TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 
@@ -104,16 +104,22 @@ def test_matches_bruteforce_and_tutte_on_random_graphs():
         value = kappa(g).value
         assert value == kappa_partition_bruteforce(g).class_count
         assert value == tutte_polynomial(g).evaluate(1, 0)
+        assert value == kappa_with_trace(g).value
 
 
-def test_edge_choice_does_not_matter():
+def test_relabelling_gives_identical_values():
     rng = random.Random(23)
     for _ in range(25):
         g = random_connected_graph(rng, max_edges=10, max_vertices=6)
-        expected = kappa(g).value
+        expected = (kappa(g).value, tutte_eval(g, 2, 0))
         for trial in range(4):
-            chooser = random.Random(trial)
-            assert kappa(g, rng=chooser).value == expected
+            shuffle = random.Random(trial)
+            perm = list(range(g.n_vertices))
+            shuffle.shuffle(perm)
+            edges = [(perm[a], perm[b]) for a, b in g.edges]
+            shuffle.shuffle(edges)
+            h = Multigraph(g.n_vertices, tuple(edges))
+            assert (kappa(h).value, tutte_eval(h, 2, 0)) == expected
 
 
 def test_cache_stats_count_hits_and_each_call_starts_fresh():

@@ -32,11 +32,11 @@ PARALLEL_PAIR = Multigraph(2, ((0, 1), (0, 1)))
 
 
 def test_single_edge_is_x():
-    assert tutte_polynomial(SINGLE_EDGE) == TuttePolynomial.monomial(1, 0)
+    assert tutte_polynomial(SINGLE_EDGE) == TuttePolynomial(((0,), (1,)))
 
 
 def test_single_loop_is_y():
-    assert tutte_polynomial(SINGLE_LOOP) == TuttePolynomial.monomial(0, 1)
+    assert tutte_polynomial(SINGLE_LOOP) == TuttePolynomial(((0, 1),))
 
 
 def test_triangle():
@@ -50,7 +50,7 @@ def test_parallel_pair_is_x_plus_y():
 
 def test_edgeless_graph_is_one():
     poly = tutte_polynomial(Multigraph(4, ()))
-    assert poly == TuttePolynomial.one()
+    assert poly == TuttePolynomial(((1,),))
     assert poly.evaluate(7, -3) == 1
 
 
@@ -60,12 +60,12 @@ def test_constant_coefficient_vanishes_with_edges():
 
 
 def test_tree_is_x_power():
-    assert tutte_polynomial(path_graph(5)) == TuttePolynomial.monomial(4, 0)
+    assert tutte_polynomial(path_graph(5)) == TuttePolynomial(((0,), (0,), (0,), (0,), (1,)))
 
 
 def test_bridges_and_loops_mix():
     g = Multigraph(2, ((0, 1), (0, 0), (1, 1)))
-    assert tutte_polynomial(g) == TuttePolynomial.monomial(1, 2)
+    assert tutte_polynomial(g) == TuttePolynomial(((0, 0, 0), (0, 0, 1)))
 
 
 def test_oracle_matches_on_fixed_graphs():
@@ -304,9 +304,9 @@ def test_oracle_cap():
 
 
 def test_text_rendering_constant_and_mixed_terms():
-    assert TuttePolynomial.one().to_text() == "1"
-    assert TuttePolynomial.zero().to_text() == "0"
-    poly = TuttePolynomial.monomial(1, 2, 3) + TuttePolynomial.monomial(2, 0)
+    assert TuttePolynomial(((1,),)).to_text() == "1"
+    assert TuttePolynomial(((0,),)).to_text() == "0"
+    poly = TuttePolynomial(((0, 0, 0), (0, 0, 3))) + TuttePolynomial(((0,), (0,), (1,)))
     assert poly.to_text() == "x^2 + 3 x y^2"
 
 
