@@ -26,7 +26,6 @@ from .kappa import kappa, kappa_with_trace
 from .orientations import (
     DEFAULT_BRUTE_FORCE_CAP,
     PathSpec,
-    _no_incoming,
     cut_equivalence_classes,
     enumerate_acyclic,
     kappa_partition_bruteforce,
@@ -215,11 +214,10 @@ def _verify_graph(g, cap):
             if hit_classes != list(range(k_brute)):
                 transversal_ok = False
                 break
+            unique = {o.bits for o in found}
             for i, rep in enumerate(part.representatives):
                 target, _ = normalize_to_unique_source(rep, v)
-                if part.class_of_bits(target.bits) != i or _no_incoming(
-                    target.graph, target.bits
-                ) != [v]:
+                if part.class_of_bits(target.bits) != i or target.bits not in unique:
                     transversal_ok = False
                     break
             if not transversal_ok:
@@ -245,6 +243,8 @@ def _verify_graph(g, cap):
 
 
 def _cmd_verify(args):
+    if args.random_corpus is not None and args.random_corpus < 1:
+        raise GraphInputError("--random-corpus needs at least 1 graph")
     entries = []
     descriptor = {}
     if args.corpus == "small":
@@ -252,10 +252,10 @@ def _cmd_verify(args):
             entries.append((f"small/{i}", g, None))
         descriptor["corpus"] = "small"
         descriptor["corpus_size"] = len(entries)
-    elif not args.random_corpus:
+    elif args.random_corpus is None:
         g, descriptor = _read_input(args)
         entries.append(("input/0", g, None))
-    if args.random_corpus:
+    if args.random_corpus is not None:
         rng = random.Random(args.seed)
         for i in range(args.random_corpus):
             g, params = random_gnp_graph(rng, max_edges=args.cap)

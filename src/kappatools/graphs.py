@@ -11,7 +11,6 @@ also return the remap tables that carry orientations across them.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -297,38 +296,48 @@ class Simplification:
     edge_map: tuple  # old edge-id -> surviving class representative, None for loops
 
 
-def memo_key(g):
-    """Deterministic serialization used as a recursion memo key.
+def bfs_order(g):
+    """All vertices in breadth-first order by (degree, label).
 
-    Vertices are relabeled by a degree-then-BFS order and the edge multiset
-    is serialized sorted.  The key is stable for equal-shaped inputs met
-    along a recursion but is NOT an isomorphism-canonical form; correctness
-    of the engines never depends on it, only cache hit rate does.
+    Each component starts at its vertex of least (degree, label) and
+    neighbours are queued in (degree, label) order, which keeps the
+    frontier narrow on paths, grids and wheels.  Isolated vertices are
+    components of their own, so they come first.
     """
-    n = g.n_vertices
-    deg = g.degrees
     inc = g._incidence
-    seen = [False] * n
+    rank = [(d, v) for v, d in enumerate(g.degrees)].__getitem__
+    seen = [False] * g.n_vertices
     order = []
-    for root in sorted(range(n), key=lambda v: (deg[v], v)):
+    for root in sorted(range(g.n_vertices), key=rank):
         if seen[root]:
             continue
         seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            nbrs = sorted({w for _, w in inc[v]}, key=lambda w: (deg[w], w))
-            for w in nbrs:
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in sorted({w for _, w in inc[v]}, key=rank):
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
-    relabel = {old: new for new, old in enumerate(order)}
+                    order.append(w)
+    return order
+
+
+def memo_key(g):
+    """Deterministic serialization used as a recursion memo key.
+
+    Vertices are relabeled by `bfs_order` and the edge multiset is
+    serialized sorted.  The key is stable for equal-shaped inputs met
+    along a recursion but is NOT an isomorphism-canonical form; correctness
+    of the engines never depends on it, only cache hit rate does.
+    """
+    relabel = {old: new for new, old in enumerate(bfs_order(g))}
     pairs = sorted(
         (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
         for a, b in g.edges
     )
-    return f"{n}:" + ",".join(f"{a}-{b}" for a, b in pairs)
+    return f"{g.n_vertices}:" + ",".join(f"{a}-{b}" for a, b in pairs)
 
 
 MAX_PARSED_VERTICES = 10**6

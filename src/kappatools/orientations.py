@@ -7,6 +7,11 @@ fast engines are tested against.  All entry points reject loops, which
 admit no acyclic orientation; graphs with parallel edges are partitioned
 after simplification (anti-parallel pairs are 2-cycles, so co-direction is
 forced and nothing is lost).
+
+A click at a source v reverses every edge at v, which is the oriented
+cut around {v}: the click classes and the cut-equivalence classes are the
+same closure (`_merge_classes`) over two move sets, the singleton cuts
+and all oriented cuts (Pretzel, Order 1986, shows the classes agree).
 """
 
 from __future__ import annotations
@@ -23,14 +28,18 @@ DEFAULT_BRUTE_FORCE_CAP = 20
 
 @lru_cache(maxsize=64)
 def _bit_tables(g):
-    """Per vertex: masks of edges where it is the smaller / larger endpoint."""
-    smaller = [0] * g.n_vertices
-    larger = [0] * g.n_vertices
+    """Per vertex: its edge bits as a source, and the mask of its edges.
+
+    out[v] has bit 1 exactly on the edges where v is the larger endpoint,
+    so the edges into v under `bits` are (bits ^ out[v]) & incident[v].
+    """
+    out = [0] * g.n_vertices
+    incident = [0] * g.n_vertices
     for eid, (a, b) in enumerate(g.edges):
-        smaller[a] |= 1 << eid
-        larger[b] |= 1 << eid
-    incident = [smaller[v] | larger[v] for v in range(g.n_vertices)]
-    return tuple(smaller), tuple(larger), tuple(incident)
+        out[b] |= 1 << eid
+        incident[a] |= 1 << eid
+        incident[b] |= 1 << eid
+    return tuple(out), tuple(incident)
 
 
 def _require_loop_free(g):
@@ -44,15 +53,12 @@ def _is_acyclic_bits(g, bits):
 
 def _peels(tables, active, bits):
     """Peel source vertices until no edge remains; a stall means a cycle."""
-    smaller, larger, incident = tables
-    n = len(incident)
+    out, incident = tables
     while active:
         removed = 0
-        for v in range(n):
-            if incident[v] & active and not (
-                ((bits & smaller[v]) | (~bits & larger[v])) & active
-            ):
-                removed |= incident[v]
+        for v, edges in enumerate(incident):
+            if edges & active and not (bits ^ out[v]) & edges & active:
+                removed |= edges
         if not removed:
             return False
         active &= ~removed
@@ -121,10 +127,10 @@ def click(o, v):
     g = o.graph
     if not (0 <= v < g.n_vertices):
         raise GraphInputError(f"vertex {v} out of range")
-    smaller, larger, incident = _bit_tables(g)
+    out, incident = _bit_tables(g)
     if not incident[v]:
         raise GraphInputError(f"vertex {v} is isolated and cannot be clicked")
-    if (o.bits & smaller[v]) | (~o.bits & larger[v]):
+    if (o.bits ^ out[v]) & incident[v]:
         raise GraphInputError(f"vertex {v} is not a source")
     return Orientation(g, o.bits ^ incident[v])
 
@@ -206,28 +212,41 @@ class KappaPartition:
         return tuple(tuple(o.bits for o in cls) for cls in self.classes)
 
 
+def _merge_classes(g, moves):
+    """Classes of the acyclic masks of g under a set of edge reversals.
+
+    A move (flip, out) applies to every acyclic mask whose `flip` edges
+    read exactly `out`, and reverses them all.  Every move used here
+    reverses an oriented cut, so it keeps the mask acyclic.  Returns the
+    classes, and each class's masks, in ascending order.
+    """
+    masks = _acyclic_masks(g)
+    index = {bits: i for i, bits in enumerate(masks)}
+    uf = UnionFind(len(masks))
+    for i, bits in enumerate(masks):
+        for flip, out in moves:
+            if bits & flip == out:
+                j = index.get(bits ^ flip)
+                if j is None:
+                    raise InternalInvariantError(
+                        "reversing an oriented cut left the acyclic set"
+                    )
+                uf.union(i, j)
+    return tuple(tuple(masks[i] for i in block) for block in uf.groups())
+
+
 def _click_class_masks(g, cap):
     """Connected components of the click graph over the acyclic masks of g.
 
-    g may have parallel edges (they are forced co-directed); the caller
-    decides whether to simplify first.
+    A click at v is the move of the singleton cut around v.  g may have
+    parallel edges (they are forced co-directed); the caller decides
+    whether to simplify first.
     """
     _require_loop_free(g)
     _check_cap(g, cap)
-    masks = _acyclic_masks(g)
-    index = {bits: i for i, bits in enumerate(masks)}
-    smaller, larger, incident = _bit_tables(g)
-    uf = UnionFind(len(masks))
-    for i, bits in enumerate(masks):
-        for v in range(g.n_vertices):
-            if incident[v] and not ((bits & smaller[v]) | (~bits & larger[v])):
-                j = index.get(bits ^ incident[v])
-                if j is None:
-                    raise InternalInvariantError(
-                        "click left the set of acyclic orientations"
-                    )
-                uf.union(i, j)
-    return [[masks[i] for i in block] for block in uf.groups()]
+    out, incident = _bit_tables(g)
+    singletons = [(incident[v], out[v]) for v in range(g.n_vertices) if incident[v]]
+    return _merge_classes(g, singletons)
 
 
 def kappa_partition_bruteforce(g, cap=None):
@@ -242,10 +261,10 @@ def kappa_partition_bruteforce(g, cap=None):
 def cut_equivalence_classes(g, cap=None):
     """Transitive closure of cut-equivalence over simplify(g), as bit classes.
 
-    Computed independently of clicks: for every acyclic orientation, every
-    bipartition of each connected component is tried, with the rest of the
-    graph outside, and orientations differing exactly by an oriented cut
-    are merged.  This gives the same classes as trying every bipartition of
+    The same closure as the click classes, over a larger move set: not
+    only the singleton cuts but every oriented cut.  Every bipartition of
+    each connected component is tried, with the rest of the graph
+    outside.  This gives the same classes as trying every bipartition of
     the whole graph: reversing an oriented cut reverses each component's
     restriction of it, and each restriction is itself an oriented cut.
     Returns the same (sorted) shape that KappaPartition.as_bit_classes()
@@ -254,37 +273,25 @@ def cut_equivalence_classes(g, cap=None):
     _require_loop_free(g)
     s = g.simplify().graph
     _check_cap(s, cap)
-    masks = _acyclic_masks(s)
-    index = {bits: i for i, bits in enumerate(masks)}
-    cuts = []
+    moves = []
     for block in s.connected_components():
         # Each bipartition of the component once, its first vertex on
-        # `side`; a single (isolated) vertex has none.
+        # `side`, with every cut edge leaving `side`; the reverse move is
+        # the same pair of masks.  A single (isolated) vertex has none.
         slot = {v: i for i, v in enumerate(block)}
         edges = [(eid, slot[a], slot[b]) for eid, (a, b) in enumerate(s.edges) if a in slot]
         for side in range(1, (1 << len(block)) - 1, 2):
-            cut_mask = 0
-            rev_mask = 0  # cut edges whose larger endpoint is inside `side`
+            flip = 0
+            out = 0  # cut edges whose larger endpoint is inside `side`
             for eid, a, b in edges:
                 a_in = (side >> a) & 1
                 b_in = (side >> b) & 1
                 if a_in != b_in:
-                    cut_mask |= 1 << eid
+                    flip |= 1 << eid
                     if b_in:
-                        rev_mask |= 1 << eid
-            cuts.append((cut_mask, rev_mask, cut_mask ^ rev_mask))
-    uf = UnionFind(len(masks))
-    for i, bits in enumerate(masks):
-        for cut_mask, req_a, req_b in cuts:
-            d = bits & cut_mask
-            if d == req_a or d == req_b:
-                j = index.get(bits ^ cut_mask)
-                if j is None:
-                    raise InternalInvariantError(
-                        "reversing an oriented cut left the acyclic set"
-                    )
-                uf.union(i, j)
-    return tuple(tuple(masks[i] for i in block) for block in uf.groups())
+                        out |= 1 << eid
+            moves.append((flip, out))
+    return _merge_classes(s, moves)
 
 
 @dataclass(frozen=True)
@@ -405,13 +412,10 @@ def cut_equivalent(o1, o2):
     return True
 
 
-def _no_incoming(g, bits):
-    smaller, larger, _ = _bit_tables(g)
-    return [
-        v
-        for v in range(g.n_vertices)
-        if not ((bits & smaller[v]) | (~bits & larger[v]))
-    ]
+def _sources(tables, bits):
+    """Vertices with no incoming edge under `bits`, isolated ones included."""
+    out, incident = tables
+    return [v for v, edges in enumerate(incident) if not (bits ^ out[v]) & edges]
 
 
 def unique_source_orientations(g, v, cap=None):
@@ -422,11 +426,12 @@ def unique_source_orientations(g, v, cap=None):
     if not g.is_connected:
         raise GraphInputError("graph must be connected")
     _check_cap(g, cap)
-    out = []
-    for bits in _acyclic_masks(g):
-        if _no_incoming(g, bits) == [v]:
-            out.append(Orientation(g, bits))
-    return out
+    tables = _bit_tables(g)
+    return [
+        Orientation(g, bits)
+        for bits in _acyclic_masks(g)
+        if _sources(tables, bits) == [v]
+    ]
 
 
 def normalize_to_unique_source(o, v):
@@ -443,18 +448,13 @@ def normalize_to_unique_source(o, v):
         raise GraphInputError("graph must be connected")
     if not _is_acyclic_bits(g, o.bits):
         raise GraphInputError("orientation is not acyclic")
-    smaller, larger, incident = _bit_tables(g)
+    tables = _bit_tables(g)
+    incident = tables[1]
     bits = o.bits
     seq = []
     guard = (1 << g.m) * max(g.n_vertices, 1)
     while True:
-        src = None
-        for w in range(g.n_vertices):
-            if w == v or not incident[w]:
-                continue
-            if not ((bits & smaller[w]) | (~bits & larger[w])):
-                src = w
-                break
+        src = next((w for w in _sources(tables, bits) if w != v), None)
         if src is None:
             break
         bits ^= incident[src]

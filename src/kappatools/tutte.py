@@ -3,14 +3,14 @@
 T(x, y) is the rank-nullity sum over all edge subsets A of
 (x-1)^(c(A)-c(E)) (y-1)^(|A|-n+c(A)), with c the number of components.
 `tutte_polynomial` computes it in one pass over the edges (Sekine, Imai
-and Tani, ISAAC 1995): the vertices are taken in breadth-first order, and
-for each partition of the frontier (the vertices seen that still have
-edges to come) it keeps the number of subsets per (closed components,
-|A|).  The work grows with the number of frontier partitions, not with
-2^m.  Evaluations at y=0 do not build the polynomial: they run the one
-y=0 engine of `kappatools.kappa` (the deletion/contraction recursion that
-counts click-classes), so the polynomial and that recursion are
-independent routes to kappa = T(1, 0).
+and Tani, ISAAC 1995): the vertices are taken in the breadth-first order
+of `graphs.bfs_order`, and for each partition of the frontier (the
+vertices seen that still have edges to come) it keeps the number of
+subsets per (closed components, |A|).  The work grows with the number
+of frontier partitions, not with 2^m.  Evaluations at y=0 do not build
+the polynomial: they run the one y=0 engine of `kappatools.kappa` (the
+deletion/contraction recursion that counts click-classes), so the
+polynomial and that recursion are independent routes to kappa = T(1, 0).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
-from .graphs import UnionFind
+from .graphs import Multigraph, UnionFind, bfs_order
 from .kappa import _Engine
 
 DEFAULT_TUTTE_CAP = 30
@@ -131,65 +131,33 @@ def tutte_polynomial(g, cap=None):
     powers of (x-1), (y-1) to powers of x, y.
     """
     _check_tutte_cap(g, cap)
-    edges = [e for e in g.edges if e[0] != e[1]]
-    return _from_corank_nullity(_subset_counts(g.n_vertices, edges), g.m - len(edges))
+    loop_free = g
+    if g.has_loops:
+        loop_free = Multigraph(g.n_vertices, tuple(e for e in g.edges if e[0] != e[1]))
+    return _from_corank_nullity(_subset_counts(loop_free), g.m - loop_free.m)
 
 
-def _frontier_order(n, edges):
-    """Vertices that touch an edge, in breadth-first order.
-
-    Each component starts at its vertex of least degree and neighbours
-    are queued in (degree, label) order, which keeps the frontier narrow
-    on paths, grids and wheels.
-    """
-    degree = [0] * n
-    adjacent = [set() for _ in range(n)]
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-
-    def rank(v):
-        return degree[v], v
-
-    seen = [False] * n
-    order = []
-    for root in sorted(range(n), key=rank):
-        if seen[root] or not degree[root]:
-            continue
-        seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in sorted(adjacent[v], key=rank):
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-    return order
-
-
-def _subset_counts(n, edges):
-    """{(corank, nullity): number of edge subsets A} of a loop-free graph.
+def _subset_counts(g):
+    """{(corank, nullity): number of edge subsets A} of a loop-free graph g.
 
     corank = c(A) - c(E) and nullity = |A| - n + c(A), with c counting the
-    components of (V, A) over the vertices that touch an edge.  The edges
-    are taken in frontier order, and a vertex leaves the frontier after
-    its last edge.  For every canonical partition of the frontier vertices
-    (block labels in order of first occurrence) one integer holds the
-    number of subsets reaching it per (closed, |A|), where closed counts
-    the components that left the frontier: that count sits in the bits
-    from (closed * (m + 1) + |A|) * (m + 1) up.  No count exceeds 2^m, so
+    components of (V, A) over the vertices that touch an edge.  Those
+    vertices are taken in `graphs.bfs_order`, each edge at its later
+    endpoint, and a vertex leaves the frontier after its last edge.  For
+    every canonical partition of the frontier vertices (block labels in
+    order of first occurrence) one integer holds the number of subsets
+    reaching it per (closed, |A|), where closed counts the components
+    that left the frontier: that count sits in the bits from
+    (closed * (m + 1) + |A|) * (m + 1) up.  No count exceeds 2^m, so
     m + 1 bits per slot never carry, and taking an edge or closing a
     component is one shift.
     """
-    order = _frontier_order(n, edges)
-    pos = [0] * n
+    degree = g.degrees
+    order = [v for v in bfs_order(g) if degree[v]]
+    pos = [0] * g.n_vertices
     for i, v in enumerate(order):
         pos[v] = i
-    edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in edges)
+    edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in g.edges)
     last = {}
     for i, (hi, lo) in enumerate(edges):
         last[hi] = last[lo] = i

@@ -153,6 +153,16 @@ def test_verify_random_corpus_respects_the_cap(capsys):
     assert "m <= 12" in payload["input"]["random_corpus"]["generator"]
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_random_corpus_needs_a_positive_count(capsys, monkeypatch, count):
+    # A graph on stdin: a count of 0 must not fall through to reading it.
+    monkeypatch.setattr("sys.stdin", io.StringIO(C5_TEXT))
+    code, out, err = run_cli(capsys, "verify", "--random-corpus", count)
+    assert code == 2
+    assert out == ""
+    assert "--random-corpus" in err
+
+
 def test_kappa_on_a_long_cycle(capsys, tmp_path):
     n = 500
     path = tmp_path / "c500.txt"

@@ -15,7 +15,7 @@ from kappatools.corpus import (
     star_graph,
 )
 from kappatools.errors import CapExceededError, GraphInputError
-from kappatools.graphs import Multigraph
+from kappatools.graphs import Multigraph, UnionFind
 from kappatools.orientations import (
     Orientation,
     PathSpec,
@@ -366,13 +366,21 @@ def test_cut_equivalent_rejects_graph_mismatch():
 
 
 def test_cut_equivalent_pairs_never_cross_classes():
-    for g in (cycle_graph(4), complete_graph(4)):
+    # Click and cut classes share one closure; the closure of the pairwise
+    # cut_equivalent test, a separate implementation, must give both.
+    two_triangles = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    k4_minus_edge = Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
+    for g in (cycle_graph(4), complete_graph(4), two_triangles, k4_minus_edge):
         part = kappa_partition_bruteforce(g)
         orients = enumerate_acyclic(g)
+        uf = UnionFind(len(orients))
         for i, o1 in enumerate(orients):
-            for o2 in orients[i + 1 :]:
-                if cut_equivalent(o1, o2):
-                    assert part.class_of(o1) == part.class_of(o2)
+            for j in range(i + 1, len(orients)):
+                if cut_equivalent(o1, orients[j]):
+                    assert part.class_of(o1) == part.class_of(orients[j])
+                    uf.union(i, j)
+        closure = tuple(tuple(orients[i].bits for i in block) for block in uf.groups())
+        assert closure == cut_equivalence_classes(g) == part.as_bit_classes()
 
 
 def test_cut_closure_matches_click_partition_on_samples():
