@@ -169,9 +169,14 @@ def _cmd_nu(args):
     spec = PathSpec.from_json(raw)
     g, descriptor = _read_input(args)
     if spec.closed:
+        # Edge ids name the input's edge lines; the representatives live
+        # on simplify(g), where the vertices alone fix every step.
+        if spec.edge_choice is not None:
+            spec.resolve(g)
+        on_reps = PathSpec(spec.vertices, spec.closed)
         part = kappa_partition_bruteforce(g, args.cap)
         values = [
-            {"class": i, "representative": rep.hex, "nu": nu_path(rep, spec)}
+            {"class": i, "representative": rep.hex, "nu": nu_path(rep, on_reps)}
             for i, rep in enumerate(part.representatives)
         ]
         lines = [
@@ -357,7 +362,11 @@ def build_parser():
         "nu", _cmd_nu,
         "signed edge count along a path, per class or per orientation", brute_force=True,
     )
-    p.add_argument("--path", required=True, help='JSON {"vertices": [...], "closed": bool}')
+    p.add_argument(
+        "--path", required=True,
+        help='JSON {"vertices": [...], "closed": bool, "edges": [...]}; the optional '
+        "edge ids count the input's edge lines, one per step",
+    )
     p = add("verify", _cmd_verify, "cross-engine differential suite", brute_force=True)
     p.add_argument("--seed", type=int, default=0, help="seed of --random-corpus")
     p.add_argument("--corpus", choices=("small",), default=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, InternalInvariantError
-from .graphs import EdgeKind, UnionFind
+from .graphs import EdgeKind, UnionFind, contraction_map
 from .kappa import kappa
 from .orientations import (
     Orientation,
@@ -32,22 +32,21 @@ class _Lifter:
             raise GraphInputError(f"edge {e} is not a cycle-edge")
         self.g = g
         self.e = e
-        contraction = g.contract_edge(e)
-        simplification = contraction.graph.simplify()
-        self.contracted = simplification.graph
-        vmap = contraction.vertex_map
+        u, v = g.edges[e]
+        vmap = contraction_map(g.n_vertices, u, v)
+        self.contracted = g.contract_edge(e).simplify()
+        index = {pair: i for i, pair in enumerate(self.contracted.edges)}
         table = []
         for f, (a, b) in enumerate(g.edges):
             if f == e:
                 table.append(None)
                 continue
-            sid = simplification.edge_map[contraction.edge_map[f]]
-            if sid is None:
+            p, q = vmap[a], vmap[b]
+            if p == q:
                 raise GraphInputError(
                     f"edge {f} is parallel to edge {e}; lift a simple graph"
                 )
-            p, _q = self.contracted.edges[sid]
-            table.append((sid, vmap[a] != p))
+            table.append((index[(min(p, q), max(p, q))], p > q))
         self.table = table
 
     def lift(self, o_contracted, direction):
@@ -76,7 +75,7 @@ class _Lifter:
 def lift_orientation(o_contracted, direction, g, e):
     """Lift an acyclic orientation of simplify(contract(g, e)) back to g.
 
-    Inherited edges keep their direction through the contraction remaps;
+    Inherited edges keep their direction through `contraction_map`;
     the cycle-edge e itself points small-to-large for direction 1 and
     large-to-small for direction 2.
     """
@@ -141,7 +140,7 @@ def build_collapse_graph(g, e, cap=None, partition=None):
     """
     if g.has_loops:
         raise GraphInputError("graph has loops")
-    if g.simplify().graph.m != g.m:
+    if g.simplify().m != g.m:
         raise GraphInputError("graph must be simple")
     if not g.is_connected:
         raise GraphInputError("graph must be connected")
@@ -230,25 +229,24 @@ def verify_collapse_structure(cg, cap=None):
         edges_per_block[bi] == len(block) - 1 for bi, block in enumerate(blocks)
     )
 
-    deletion = cg.graph.delete_edge(cg.cycle_edge)
-    kappa_deleted = kappa(deletion.graph).value
+    deleted = cg.graph.delete_edge(cg.cycle_edge)
+    kappa_deleted = kappa(deleted).value
     checks["component_count_matches_deletion"] = len(blocks) == kappa_deleted
 
-    contracted = cg.graph.contract_edge(cg.cycle_edge).graph.simplify().graph
+    contracted = cg.graph.contract_edge(cg.cycle_edge).simplify()
     kappa_contracted = kappa(contracted).value
     checks["edge_count_matches_contraction"] = len(cg.edges) == kappa_contracted
 
     checks["nodes_are_components_plus_edges"] = n_nodes == len(blocks) + len(cg.edges)
 
     # Deleting e must merge exactly the classes lying on one component.
-    deleted_partition = kappa_partition_bruteforce(deletion.graph, cap)
-    node_class_after_deletion = []
-    for rep in cg.nodes:
-        bits = 0
-        for f, new_id in enumerate(deletion.edge_map):
-            if new_id is not None:
-                bits |= ((rep.bits >> f) & 1) << new_id
-        node_class_after_deletion.append(deleted_partition.class_of_bits(bits))
+    # A representative reads on the deleted graph with bit e dropped.
+    deleted_partition = kappa_partition_bruteforce(deleted, cap)
+    below = (1 << cg.cycle_edge) - 1
+    node_class_after_deletion = [
+        deleted_partition.class_of_bits(rep.bits & below | (rep.bits >> 1) & ~below)
+        for rep in cg.nodes
+    ]
     merge_ok = True
     class_to_block = {}
     for node, cls in enumerate(node_class_after_deletion):

@@ -3,9 +3,8 @@
 Vertices are dense integer labels 0..n-1.  Edges are addressed by their
 position in the edge list (edge-ids 0..m-1); parallel edges and loops are
 permitted and each edge is stored canonically as (min, max).  All
-operations are persistent: they return new graph values, never renumber
-the edges of their input, and deletion, contraction and simplification
-also return the remap tables that carry orientations across them.
+operations are persistent: they return new graph values and never
+renumber the edges of their input.
 """
 
 from __future__ import annotations
@@ -116,59 +115,28 @@ class Multigraph:
     def delete_edge(self, e):
         """Remove edge e; survivors keep their relative order."""
         self._check_edge_id(e)
-        new_edges = self.edges[:e] + self.edges[e + 1 :]
-        edge_map = tuple(
-            None if i == e else (i if i < e else i - 1) for i in range(self.m)
-        )
-        return EdgeDeletion(Multigraph(self.n_vertices, new_edges), edge_map)
+        return Multigraph(self.n_vertices, self.edges[:e] + self.edges[e + 1 :])
 
     def contract_edge(self, e):
-        """Merge the endpoints of non-loop edge e into the smaller label.
+        """Merge the endpoints of non-loop edge e by `contraction_map`.
 
-        The larger endpoint disappears and labels above it shift down by
-        one.  Parallel edges and loops created by the merge are retained.
+        Survivors keep their relative order.  Parallel edges and loops
+        created by the merge are retained.
         """
         self._check_edge_id(e)
         u, v = self.edges[e]
         if u == v:
             raise GraphInputError(f"edge {e} is a loop and cannot be contracted")
-        vertex_map = tuple(
-            x if x < v else (u if x == v else x - 1) for x in range(self.n_vertices)
-        )
-        new_edges = []
-        edge_map = []
-        for i, (a, b) in enumerate(self.edges):
-            if i == e:
-                edge_map.append(None)
-                continue
-            edge_map.append(len(new_edges))
-            new_edges.append((vertex_map[a], vertex_map[b]))
-        return EdgeContraction(
-            Multigraph(self.n_vertices - 1, tuple(new_edges)),
-            vertex_map,
-            tuple(edge_map),
+        vmap = contraction_map(self.n_vertices, u, v)
+        return Multigraph(
+            self.n_vertices - 1,
+            tuple((vmap[a], vmap[b]) for a, b in self.edges[:e] + self.edges[e + 1 :]),
         )
 
     def simplify(self):
-        """Drop loops and collapse each parallel class to its lowest edge-id.
-
-        The remap sends every non-loop edge to the surviving representative
-        of its parallel class, and loops to None.
-        """
-        new_edges = []
-        keeper = {}
-        edge_map = []
-        for a, b in self.edges:
-            if a == b:
-                edge_map.append(None)
-            elif (a, b) in keeper:
-                edge_map.append(keeper[(a, b)])
-            else:
-                keeper[(a, b)] = len(new_edges)
-                edge_map.append(len(new_edges))
-                new_edges.append((a, b))
-        return Simplification(
-            Multigraph(self.n_vertices, tuple(new_edges)), tuple(edge_map)
+        """Drop loops and keep the first edge of each parallel class, in order."""
+        return Multigraph(
+            self.n_vertices, tuple(dict.fromkeys(p for p in self.edges if p[0] != p[1]))
         )
 
     # ----- classification and components -----
@@ -277,23 +245,12 @@ class Multigraph:
         return hashlib.sha256(self.to_edge_list_text().encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class EdgeDeletion:
-    graph: Multigraph
-    edge_map: tuple  # old edge-id -> new edge-id, None for the deleted edge
+def contraction_map(n, u, v):
+    """Vertex relabelling of contracting {u, v}, u < v, on n vertices.
 
-
-@dataclass(frozen=True)
-class EdgeContraction:
-    graph: Multigraph
-    vertex_map: tuple  # old vertex -> new vertex (total)
-    edge_map: tuple  # old edge-id -> new edge-id, None for the contracted edge
-
-
-@dataclass(frozen=True)
-class Simplification:
-    graph: Multigraph
-    edge_map: tuple  # old edge-id -> surviving class representative, None for loops
+    v merges into u, and labels above v shift down by one.
+    """
+    return tuple(x if x < v else (u if x == v else x - 1) for x in range(n))
 
 
 def bfs_order(g):

@@ -86,7 +86,7 @@ class _Engine:
 
     def solve(self, g):
         """Value of an arbitrary loop-free multigraph."""
-        s = g.simplify().graph
+        s = g.simplify()
         core = s.cycle_subgraph().drop_isolated()
         value = self.x ** (s.m - core.m)
         for piece in core.split_components():
@@ -103,14 +103,14 @@ class _Engine:
             return self.memo[key]
         self.stats.misses += 1
         eid = _least_edge(c)
-        value = self.solve(c.delete_edge(eid).graph) + self.solve(c.contract_edge(eid).graph)
+        value = self.solve(c.delete_edge(eid)) + self.solve(c.contract_edge(eid))
         self.memo[key] = value
         return value
 
 
 def _trace(g):
     """The unfolded recursion tree of g at x = 1."""
-    s = g.simplify().graph
+    s = g.simplify()
     core = s.cycle_subgraph().drop_isolated()
     if core.m == 0:
         return TraceNode(memo_key(core), "base", None, 1, ())
@@ -129,7 +129,7 @@ def _trace(g):
 def _trace_component(c):
     """c is connected, simple, bridge-free, with at least one edge."""
     eid = _least_edge(c)
-    children = (_trace(c.delete_edge(eid).graph), _trace(c.contract_edge(eid).graph))
+    children = (_trace(c.delete_edge(eid)), _trace(c.contract_edge(eid)))
     value = children[0].value + children[1].value
     return TraceNode(memo_key(c), "recursion", c.edges[eid], value, children)
 

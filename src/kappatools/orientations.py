@@ -252,7 +252,7 @@ def _click_class_masks(g, cap):
 def kappa_partition_bruteforce(g, cap=None):
     """Click-equivalence classes of simplify(g), by exhaustive enumeration."""
     _require_loop_free(g)
-    s = g.simplify().graph
+    s = g.simplify()
     blocks = _click_class_masks(s, cap)
     classes = tuple(tuple(Orientation(s, bits) for bits in block) for block in blocks)
     return KappaPartition(s, classes)
@@ -271,13 +271,20 @@ def cut_equivalence_classes(g, cap=None):
     produces.
     """
     _require_loop_free(g)
-    s = g.simplify().graph
+    s = g.simplify()
     _check_cap(s, cap)
+    return _merge_classes(s, _cut_moves(s))
+
+
+def _cut_moves(s):
+    """One (flip, out) move per bipartition of each component of s.
+
+    Each bipartition appears once, its first vertex on `side`, with every
+    cut edge leaving `side`; the reverse move is the same pair of masks.
+    A single (isolated) vertex has none.
+    """
     moves = []
     for block in s.connected_components():
-        # Each bipartition of the component once, its first vertex on
-        # `side`, with every cut edge leaving `side`; the reverse move is
-        # the same pair of masks.  A single (isolated) vertex has none.
         slot = {v: i for i, v in enumerate(block)}
         edges = [(eid, slot[a], slot[b]) for eid, (a, b) in enumerate(s.edges) if a in slot]
         for side in range(1, (1 << len(block)) - 1, 2):
@@ -291,7 +298,7 @@ def cut_equivalence_classes(g, cap=None):
                     if b_in:
                         out |= 1 << eid
             moves.append((flip, out))
-    return _merge_classes(s, moves)
+    return moves
 
 
 @dataclass(frozen=True)

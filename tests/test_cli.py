@@ -101,6 +101,29 @@ def test_nu_closed_path_per_class(capsys, c5_file):
     assert values == [-3, -1, 1, 3]
 
 
+@pytest.mark.parametrize(
+    "edges, code, values",
+    [(None, 0, [1, -1]), ([1, 2, 3], 0, [1, -1]), ([0, 1, 2], 2, None)],
+)
+def test_nu_closed_path_edges_name_input_edge_lines(capsys, tmp_path, edges, code, values):
+    # edge 1 is parallel to edge 0: [1, 2, 3] is a valid choice of input
+    # lines, while [0, 1, 2] puts edge 1 on the step 1-2; simplify(g)
+    # numbers the edges differently and once got both wrong
+    path = tmp_path / "doubled.txt"
+    path.write_text("3 4\n0 1\n0 1\n1 2\n0 2\n")
+    spec = {"vertices": [0, 1, 2], "closed": True}
+    if edges is not None:
+        spec["edges"] = edges
+    got, out, err = run_cli(capsys, "nu", str(path), "--path", json.dumps(spec), "--format", "json")
+    assert got == code
+    if values is None:
+        assert err.startswith("error: edge 1 does not join 1 and 2")
+    else:
+        payload = json.loads(out)
+        assert [item["nu"] for item in payload["per_class"]] == values
+        assert payload["path"] == spec
+
+
 def test_nu_open_path_per_orientation(capsys, tree_file):
     path = json.dumps({"vertices": [0, 1, 2]})
     code, out, _ = run_cli(capsys, "nu", tree_file, "--path", path)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kappatools.collapse import (
+    _Lifter,
     build_collapse_graph,
     lift_orientation,
     verify_collapse_structure,
@@ -29,7 +30,7 @@ TRIANGLE = cycle_graph(3)
 
 
 def contracted_graph(g, e):
-    return g.contract_edge(e).graph.simplify().graph
+    return g.contract_edge(e).simplify()
 
 
 def test_lift_triangle_examples():
@@ -79,6 +80,47 @@ def test_lift_rejects_foreign_orientation():
     o = Orientation(Multigraph(2, ((0, 1),)), 0)
     with pytest.raises(GraphInputError, match="contraction"):
         lift_orientation(o, 1, cycle_graph(4), 0)
+
+
+def test_lift_rejects_an_edge_parallel_to_the_cycle_edge():
+    g = Multigraph(3, ((0, 1), (1, 2), (0, 1), (0, 2)))
+    o = Orientation(Multigraph(2, ((0, 1),)), 0)
+    with pytest.raises(GraphInputError, match="edge 2 is parallel to edge 0"):
+        lift_orientation(o, 1, g, 0)
+
+
+def test_lift_keeps_every_inherited_direction():
+    # Project each lift back with a relabelling written here, not the
+    # library's: v merges into u < v and labels above v shift down.
+    rng = random.Random(23)
+    lifts = 0
+    for _ in range(20):
+        g = random_connected_graph(rng, max_edges=9, max_vertices=6)
+        for e, kind in enumerate(g.classify_edges()):
+            if kind is not EdgeKind.CYCLE_EDGE:
+                continue
+            lifter = _Lifter(g, e)
+            gc = lifter.contracted
+            u, v = g.edges[e]
+
+            def image(x):
+                return u if x == v else (x - 1 if x > v else x)
+
+            for o in enumerate_acyclic(gc):
+                for d in (1, 2):
+                    lifted = lifter.lift(o, d)
+                    assert (lifted.bits >> e) & 1 == d - 1
+                    projected = {}
+                    for f in range(g.m):
+                        if f == e:
+                            continue
+                        tail, head = map(image, lifted.arc(f))
+                        sid = gc.edges.index((min(tail, head), max(tail, head)))
+                        bit = int(tail > head)
+                        assert projected.setdefault(sid, bit) == bit
+                    assert sum(bit << sid for sid, bit in projected.items()) == o.bits
+                    lifts += 1
+    assert lifts > 1000
 
 
 def test_triangle_collapse_is_one_edge():
@@ -189,7 +231,7 @@ def test_recursion_reconstructed_from_collapse_graph():
                 continue
             cg = build_collapse_graph(g, e, partition=part)
             components = len(cg.component_blocks())
-            deleted = kappa_partition_bruteforce(g.delete_edge(e).graph)
+            deleted = kappa_partition_bruteforce(g.delete_edge(e))
             contracted = kappa_partition_bruteforce(contracted_graph(g, e))
             assert components == deleted.class_count
             assert len(cg.edges) == contracted.class_count

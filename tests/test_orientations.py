@@ -20,6 +20,7 @@ from kappatools.orientations import (
     Orientation,
     PathSpec,
     _click_class_masks,
+    _cut_moves,
     apply_click_sequence,
     click,
     cut_equivalence_classes,
@@ -236,9 +237,9 @@ def test_acyclic_count_recursion_on_cycle_edges():
         for e, kind in enumerate(g.classify_edges()):
             if kind is not EdgeKind.CYCLE_EDGE:
                 continue
-            deleted = len(enumerate_acyclic(g.delete_edge(e).graph))
+            deleted = len(enumerate_acyclic(g.delete_edge(e)))
             contracted = len(
-                enumerate_acyclic(g.contract_edge(e).graph.simplify().graph)
+                enumerate_acyclic(g.contract_edge(e).simplify())
             )
             assert total == deleted + contracted
 
@@ -389,6 +390,23 @@ def test_cut_closure_matches_click_partition_on_samples():
         g = random_connected_graph(rng, max_edges=9, max_vertices=6)
         part = kappa_partition_bruteforce(g)
         assert cut_equivalence_classes(g) == part.as_bit_classes()
+
+
+def test_every_cut_equivalent_pair_is_one_cut_move():
+    # The closure alone cannot see lost bipartitions, since the singleton
+    # cuts already give the classes; every pair must be a move of its own.
+    rng = random.Random(5)
+    graphs = [complete_graph(4), cycle_graph(5)]
+    graphs += [random_connected_graph(rng, max_edges=8, max_vertices=6) for _ in range(8)]
+    for g in graphs:
+        moves = set(_cut_moves(g))
+        orients = enumerate_acyclic(g)
+        for o1 in orients:
+            for o2 in orients:
+                if o1.bits == o2.bits or not cut_equivalent(o1, o2):
+                    continue
+                flip = o1.bits ^ o2.bits
+                assert (flip, o1.bits & flip) in moves or (flip, o2.bits & flip) in moves
 
 
 # ----- unique-source transversal -----
