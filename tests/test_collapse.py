@@ -1,10 +1,12 @@
 """Lifting contracted orientations and collapse-graph structure."""
 
+import dataclasses
 import random
 
 import pytest
 
 from kappatools.collapse import (
+    CollapseEdge,
     _Lifter,
     build_collapse_graph,
     lift_orientation,
@@ -260,3 +262,54 @@ def test_report_json_shape():
         "kappa_after_deletion",
         "kappa_after_contraction",
     }
+
+
+def test_every_check_fires_on_a_broken_collapse_graph():
+    cg = build_collapse_graph(cycle_graph(5), 0)
+    E = list(cg.edges)
+    last = len(cg.nodes) - 1
+    broken = {
+        "as built": (E, ()),
+        "duplicate edge": (
+            E + [E[0]],
+            (
+                "degree_at_most_two",
+                "acyclic",
+                "simple_no_self_loops",
+                "components_are_paths",
+                "edge_count_matches_contraction",
+                "nodes_are_components_plus_edges",
+            ),
+        ),
+        "self-loop": (
+            E + [CollapseEdge(0, 0, E[0].label)],
+            (
+                "degree_at_most_two",
+                "acyclic",
+                "simple_no_self_loops",
+                "components_are_paths",
+                "edge_count_matches_contraction",
+                "nodes_are_components_plus_edges",
+            ),
+        ),
+        "missing edge": (
+            E[1:],
+            (
+                "component_count_matches_deletion",
+                "edge_count_matches_contraction",
+                "deletion_merges_whole_components",
+            ),
+        ),
+        "closing edge": (
+            E + [CollapseEdge(0, last, E[0].label)],
+            (
+                "acyclic",
+                "components_are_paths",
+                "edge_count_matches_contraction",
+                "nodes_are_components_plus_edges",
+            ),
+        ),
+    }
+    for name, (edges, violations) in broken.items():
+        report = verify_collapse_structure(dataclasses.replace(cg, edges=tuple(edges)))
+        assert report.violations == violations, name
