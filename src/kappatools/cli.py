@@ -118,9 +118,9 @@ def _cmd_classes(args):
     part = kappa_partition_bruteforce(g, args.cap)
     classes = [
         {
-            "representative": cls[0].hex,
+            "representative": f"{cls[0]:x}",
             "size": len(cls),
-            "members": [o.hex for o in cls],
+            "members": [f"{bits:x}" for bits in cls],
         }
         for cls in part.classes
     ]
@@ -205,7 +205,7 @@ def _verify_graph(g, cap):
     alpha_brute = sum(len(cls) for cls in part.classes)
     alpha_tutte = poly.evaluate(2, 0)
     cut_classes = cut_equivalence_classes(g, cap)
-    cut_ok = cut_classes == part.as_bit_classes()
+    cut_ok = cut_classes == part.classes
 
     connected = g.is_connected
     transversal_ok = True

@@ -11,6 +11,7 @@ the deletion/contraction recursion node by node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GraphInputError, InternalInvariantError
@@ -24,14 +25,13 @@ from .orientations import (
 
 
 class _Lifter:
-    """Shared tables for lifting orientations of simplify(contract(g, e))."""
+    """Shared tables for lifting edge masks of simplify(contract(g, e))."""
 
     def __init__(self, g, e):
         g._check_edge_id(e)
         if g.classify_edges()[e] is not EdgeKind.CYCLE_EDGE:
             raise GraphInputError(f"edge {e} is not a cycle-edge")
         self.g = g
-        self.e = e
         u, v = g.edges[e]
         vmap = contraction_map(g.n_vertices, u, v)
         self.contracted = g.contract_edge(e).simplify()
@@ -49,27 +49,21 @@ class _Lifter:
             table.append((index[(min(p, q), max(p, q))], p > q))
         self.table = table
 
-    def lift(self, o_contracted, direction):
+    def lift(self, bits, direction):
+        """The mask of g lifted from a mask of the contraction."""
         if direction not in (1, 2):
             raise GraphInputError(f"direction must be 1 or 2, got {direction}")
-        if o_contracted.graph != self.contracted:
-            raise GraphInputError(
-                "orientation does not belong to the simplified contraction"
-            )
-        bits = 0
-        for f in range(self.g.m):
-            if f == self.e:
+        lifted = 0
+        for f, entry in enumerate(self.table):
+            if entry is None:
                 if direction == 2:
-                    bits |= 1 << f
+                    lifted |= 1 << f
                 continue
-            sid, flip = self.table[f]
-            bit = (o_contracted.bits >> sid) & 1
-            if flip:
-                bit ^= 1
-            bits |= bit << f
-        if not _is_acyclic_bits(self.g, bits):
+            sid, flip = entry
+            lifted |= (((bits >> sid) & 1) ^ flip) << f
+        if not _is_acyclic_bits(self.g, lifted):
             raise InternalInvariantError("lift produced a cyclic orientation")
-        return Orientation(self.g, bits)
+        return lifted
 
 
 def lift_orientation(o_contracted, direction, g, e):
@@ -79,7 +73,10 @@ def lift_orientation(o_contracted, direction, g, e):
     the cycle-edge e itself points small-to-large for direction 1 and
     large-to-small for direction 2.
     """
-    return _Lifter(g, e).lift(o_contracted, direction)
+    lifter = _Lifter(g, e)
+    if o_contracted.graph != lifter.contracted:
+        raise GraphInputError("orientation does not belong to the simplified contraction")
+    return Orientation(g, lifter.lift(o_contracted.bits, direction))
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,14 @@ class CollapseGraph:
         return self.partition.representatives
 
     def degrees(self):
-        deg = [0] * len(self.nodes)
+        deg = [0] * self.partition.class_count
         for ce in self.edges:
             deg[ce.forward_class] += 1
             deg[ce.backward_class] += 1
         return deg
 
     def component_blocks(self):
-        uf = UnionFind(len(self.nodes))
+        uf = UnionFind(self.partition.class_count)
         for ce in self.edges:
             uf.union(ce.forward_class, ce.backward_class)
         return uf.groups()
@@ -151,20 +148,20 @@ def build_collapse_graph(g, e, cap=None, partition=None):
     lifter = _Lifter(g, e)
     contracted_partition = kappa_partition_bruteforce(lifter.contracted, cap)
     edges = []
-    for cls in contracted_partition.classes:
+    for cls, rep in zip(contracted_partition.classes, contracted_partition.representatives):
         ends = {
             (
-                partition.class_of(lifter.lift(o, 1)),
-                partition.class_of(lifter.lift(o, 2)),
+                partition.class_of_bits(lifter.lift(bits, 1)),
+                partition.class_of_bits(lifter.lift(bits, 2)),
             )
-            for o in cls
+            for bits in cls
         }
         if len(ends) != 1:
             raise InternalInvariantError(
                 "lifting is not constant on a click-class of the contraction"
             )
         i, j = ends.pop()
-        edges.append(CollapseEdge(i, j, cls[0]))
+        edges.append(CollapseEdge(i, j, rep))
     return CollapseGraph(g, e, partition, tuple(edges))
 
 
@@ -191,7 +188,7 @@ def verify_collapse_structure(cg, cap=None):
     raising, so callers can surface exactly which claim broke.
     """
     checks = {}
-    n_nodes = len(cg.nodes)
+    n_nodes = cg.partition.class_count
     deg = cg.degrees()
     checks["degree_at_most_two"] = all(d <= 2 for d in deg)
 
@@ -216,15 +213,8 @@ def verify_collapse_structure(cg, cap=None):
     checks["simple_no_self_loops"] = simple
 
     blocks = cg.component_blocks()
-    edges_per_block = {}
-    for bi, block in enumerate(blocks):
-        edges_per_block[bi] = 0
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for node in block:
-            block_of[node] = bi
-    for ce in cg.edges:
-        edges_per_block[block_of[ce.forward_class]] += 1
+    block_of = {node: bi for bi, block in enumerate(blocks) for node in block}
+    edges_per_block = Counter(block_of[ce.forward_class] for ce in cg.edges)
     checks["components_are_paths"] = all(
         edges_per_block[bi] == len(block) - 1 for bi, block in enumerate(blocks)
     )
@@ -239,25 +229,18 @@ def verify_collapse_structure(cg, cap=None):
 
     checks["nodes_are_components_plus_edges"] = n_nodes == len(blocks) + len(cg.edges)
 
-    # Deleting e must merge exactly the classes lying on one component.
-    # A representative reads on the deleted graph with bit e dropped.
+    # Deleting e must merge exactly the classes lying on one component:
+    # one class per component, a different one for each.  A representative
+    # reads on the deleted graph with bit e dropped.
     deleted_partition = kappa_partition_bruteforce(deleted, cap)
     below = (1 << cg.cycle_edge) - 1
-    node_class_after_deletion = [
-        deleted_partition.class_of_bits(rep.bits & below | (rep.bits >> 1) & ~below)
-        for rep in cg.nodes
-    ]
-    merge_ok = True
-    class_to_block = {}
-    for node, cls in enumerate(node_class_after_deletion):
-        bi = block_of[node]
-        if cls in class_to_block and class_to_block[cls] != bi:
-            merge_ok = False
-        class_to_block[cls] = bi
-    for bi, block in enumerate(blocks):
-        if len({node_class_after_deletion[node] for node in block}) != 1:
-            merge_ok = False
-    checks["deletion_merges_whole_components"] = merge_ok
+    reps = [cls[0] for cls in cg.partition.classes]
+    pairs = {
+        (block_of[node], deleted_partition.class_of_bits(rep & below | (rep >> 1) & ~below))
+        for node, rep in enumerate(reps)
+    }
+    after = {cls for _, cls in pairs}
+    checks["deletion_merges_whole_components"] = len(pairs) == len(blocks) == len(after)
 
     violations = tuple(name for name, ok in checks.items() if not ok)
     counts = {

@@ -105,10 +105,6 @@ class Orientation:
     def hex(self):
         return format(self.bits, "x")
 
-    def to_payload(self):
-        """Wire form: lowercase hex bitmask plus the owning graph's hash."""
-        return {"bits": self.hex, "graph_sha256": self.graph.sha256()}
-
 
 def is_acyclic(o):
     """True iff the directed graph induced by o has no directed cycle."""
@@ -174,16 +170,17 @@ def topological_order(o):
 class KappaPartition:
     """Acyclic orientations grouped into click-equivalence classes.
 
-    Classes and their members are sorted by bitmask; the representative of
-    a class is its lexicographically least member.
+    Each class is a tuple of edge bitmasks; classes and their members are
+    sorted ascending.  The representative of a class is its least member,
+    handed out as an `Orientation`.
     """
 
     graph: Multigraph
     classes: tuple
 
-    @property
+    @cached_property
     def representatives(self):
-        return tuple(cls[0] for cls in self.classes)
+        return tuple(Orientation(self.graph, cls[0]) for cls in self.classes)
 
     @property
     def class_count(self):
@@ -191,11 +188,7 @@ class KappaPartition:
 
     @cached_property
     def _index(self):
-        index = {}
-        for i, cls in enumerate(self.classes):
-            for o in cls:
-                index[o.bits] = i
-        return index
+        return {bits: i for i, cls in enumerate(self.classes) for bits in cls}
 
     def class_of_bits(self, bits):
         try:
@@ -209,7 +202,8 @@ class KappaPartition:
         return self.class_of_bits(o.bits)
 
     def as_bit_classes(self):
-        return tuple(tuple(o.bits for o in cls) for cls in self.classes)
+        """The classes themselves; `classes` already holds the masks."""
+        return self.classes
 
 
 def _merge_classes(g, moves):
@@ -253,9 +247,7 @@ def kappa_partition_bruteforce(g, cap=None):
     """Click-equivalence classes of simplify(g), by exhaustive enumeration."""
     _require_loop_free(g)
     s = g.simplify()
-    blocks = _click_class_masks(s, cap)
-    classes = tuple(tuple(Orientation(s, bits) for bits in block) for block in blocks)
-    return KappaPartition(s, classes)
+    return KappaPartition(s, _click_class_masks(s, cap))
 
 
 def cut_equivalence_classes(g, cap=None):
@@ -267,8 +259,7 @@ def cut_equivalence_classes(g, cap=None):
     outside.  This gives the same classes as trying every bipartition of
     the whole graph: reversing an oriented cut reverses each component's
     restriction of it, and each restriction is itself an oriented cut.
-    Returns the same (sorted) shape that KappaPartition.as_bit_classes()
-    produces.
+    Returns the same (sorted) shape that KappaPartition.classes holds.
     """
     _require_loop_free(g)
     s = g.simplify()
@@ -301,6 +292,14 @@ def _cut_moves(s):
     return moves
 
 
+def _int_tuple(key, value):
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise GraphInputError(f"malformed path spec: {key} must be a list of integers")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """A simple (possibly closed) path given by its vertex sequence.
@@ -317,14 +316,21 @@ class PathSpec:
 
     @classmethod
     def from_json(cls, obj):
+        """Read {"vertices": [int...], "closed": bool, "edges": [int...]}.
+
+        Nothing is coerced: a float, string or bool where an integer
+        belongs, or a non-bool `closed`, is malformed.
+        """
         try:
-            vertices = tuple(int(v) for v in obj["vertices"])
-            closed = bool(obj.get("closed", False))
-            choice = obj.get("edges")
-            edge_choice = None if choice is None else tuple(int(e) for e in choice)
-        except (TypeError, KeyError, ValueError) as exc:
+            vertices = obj["vertices"]
+        except (TypeError, KeyError) as exc:
             raise GraphInputError(f"malformed path spec: {exc}") from None
-        return cls(vertices, closed, edge_choice)
+        closed = obj.get("closed", False)
+        if not isinstance(closed, bool):
+            raise GraphInputError("malformed path spec: closed must be true or false")
+        choice = obj.get("edges")
+        edge_choice = None if choice is None else _int_tuple("edges", choice)
+        return cls(_int_tuple("vertices", vertices), closed, edge_choice)
 
     def to_json(self):
         obj = {"vertices": list(self.vertices), "closed": self.closed}

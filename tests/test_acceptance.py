@@ -19,6 +19,7 @@ from kappatools.corpus import cycle_graph, random_multigraph
 from kappatools.graphs import EdgeKind
 from kappatools.kappa import kappa
 from kappatools.orientations import (
+    Orientation,
     PathSpec,
     cut_equivalence_classes,
     kappa_partition_bruteforce,
@@ -155,7 +156,7 @@ def test_c05_collapse_structure(small_collapses, small_partitions):
 def test_c06_cut_equivalence_matches_click_classes(small_corpus, small_partitions):
     failures = []
     for g in small_corpus:
-        if cut_equivalence_classes(g) != small_partitions[g].as_bit_classes():
+        if cut_equivalence_classes(g) != small_partitions[g].classes:
             failures.append(g)
     ok = not failures
     _report(6, "cut-equivalence closure equals click classes", ok)
@@ -172,7 +173,7 @@ def _transversal_holds(g, part, check_every_member):
             return False
         unique_bits = {part.class_of(o): o.bits for o in found}
         sources = (
-            [o for cls in part.classes for o in cls]
+            [Orientation(part.graph, bits) for cls in part.classes for bits in cls]
             if check_every_member
             else part.representatives
         )
@@ -216,7 +217,7 @@ def test_c08_nu_is_a_class_invariant(small_corpus, small_partitions, small_colla
         for cyc in cycles:
             spec = PathSpec(cyc, closed=True)
             for i, cls in enumerate(part.classes):
-                values = {nu_path(o, spec) for o in cls}
+                values = {nu_path(Orientation(part.graph, bits), spec) for bits in cls}
                 if len(values) != 1:
                     failures.append((g, cyc, i))
     # adjacent collapse nodes differ by exactly 2 along closed paths through e

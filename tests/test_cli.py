@@ -124,6 +124,34 @@ def test_nu_closed_path_edges_name_input_edge_lines(capsys, tmp_path, edges, cod
         assert payload["path"] == spec
 
 
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        ({}, 0),
+        ({"edges": [0, 1, 2]}, 0),
+        ({"closed": "false"}, 2),
+        ({"closed": 1}, 2),
+        ({"closed": None}, 2),
+        ({"vertices": [0, 1.9, 2]}, 2),
+        ({"vertices": "012"}, 2),
+        ({"vertices": [0, True, 2]}, 2),
+        ({"edges": [0, 1.9, 2]}, 2),
+        ({"edges": "012"}, 2),
+        ({"edges": [0, True, 2]}, 2),
+    ],
+)
+def test_nu_path_spec_is_read_without_coercion(capsys, tmp_path, change, code):
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    spec = {"vertices": [0, 1, 2], "closed": True, **change}
+    got, out, err = run_cli(capsys, "nu", str(path), "--path", json.dumps(spec))
+    assert got == code
+    if code == 0:
+        assert out == "class 0 representative 0: 1\nclass 1 representative 1: -1\n"
+    else:
+        assert err.startswith("error: malformed path spec:")
+
+
 def test_nu_open_path_per_orientation(capsys, tree_file):
     path = json.dumps({"vertices": [0, 1, 2]})
     code, out, _ = run_cli(capsys, "nu", tree_file, "--path", path)

@@ -77,8 +77,11 @@ def digest(argv, stdin_text=""):
             code = main(argv)
     finally:
         sys.stdin = saved
-    sha = lambda s: hashlib.sha256(s.encode()).hexdigest()  # noqa: E731
-    return [code, sha(out.getvalue()), sha(err.getvalue())]
+    return [code, sha256(out.getvalue()), sha256(err.getvalue())]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def key(name, argv):

@@ -110,7 +110,7 @@ def test_lift_keeps_every_inherited_direction():
 
             for o in enumerate_acyclic(gc):
                 for d in (1, 2):
-                    lifted = lifter.lift(o, d)
+                    lifted = Orientation(g, lifter.lift(o.bits, d))
                     assert (lifted.bits >> e) & 1 == d - 1
                     projected = {}
                     for f in range(g.m):
@@ -198,7 +198,7 @@ def test_lifted_classes_are_distinct_per_direction():
             part_c = kappa_partition_bruteforce(lifter.contracted)
             for direction in (1, 2):
                 images = [
-                    part.class_of(lifter.lift(rep, direction))
+                    part.class_of_bits(lifter.lift(rep.bits, direction))
                     for rep in part_c.representatives
                 ]
                 assert len(set(images)) == len(images)
