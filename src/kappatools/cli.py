@@ -26,11 +26,12 @@ from .kappa import kappa, kappa_with_trace
 from .orientations import (
     DEFAULT_BRUTE_FORCE_CAP,
     PathSpec,
+    acyclic_masks,
     cut_equivalence_classes,
     enumerate_acyclic,
     kappa_partition_bruteforce,
     normalize_to_unique_source,
-    nu_path,
+    nu_bits,
     unique_source_orientations,
 )
 from .tutte import tutte_eval, tutte_polynomial
@@ -173,11 +174,12 @@ def _cmd_nu(args):
         # on simplify(g), where the vertices alone fix every step.
         if spec.edge_choice is not None:
             spec.resolve(g)
-        on_reps = PathSpec(spec.vertices, spec.closed)
         part = kappa_partition_bruteforce(g, args.cap)
+        up, down = PathSpec(spec.vertices, spec.closed).edge_masks(part.graph)
+        reps = [cls[0] for cls in part.classes]
         values = [
-            {"class": i, "representative": rep.hex, "nu": nu_path(rep, on_reps)}
-            for i, rep in enumerate(part.representatives)
+            {"class": i, "representative": f"{rep:x}", "nu": nu_bits(rep, up, down)}
+            for i, rep in enumerate(reps)
         ]
         lines = [
             f"class {v['class']} representative {v['representative']}: {v['nu']}"
@@ -185,9 +187,10 @@ def _cmd_nu(args):
         ]
         body = {"path": spec.to_json(), "per_class": values}
     else:
+        masks = acyclic_masks(g, args.cap)
+        up, down = spec.edge_masks(g)
         values = [
-            {"orientation": o.hex, "nu": nu_path(o, spec)}
-            for o in enumerate_acyclic(g, args.cap)
+            {"orientation": f"{bits:x}", "nu": nu_bits(bits, up, down)} for bits in masks
         ]
         lines = [f"{v['orientation']}: {v['nu']}" for v in values]
         body = {"path": spec.to_json(), "per_orientation": values}

@@ -11,7 +11,6 @@ the deletion/contraction recursion node by node.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GraphInputError, InternalInvariantError
@@ -192,32 +191,18 @@ def verify_collapse_structure(cg, cap=None):
     deg = cg.degrees()
     checks["degree_at_most_two"] = all(d <= 2 for d in deg)
 
-    uf = UnionFind(n_nodes)
-    acyclic = True
-    seen_pairs = set()
-    simple = True
-    for ce in cg.edges:
-        i, j = ce.forward_class, ce.backward_class
-        if i == j:
-            simple = False
-            acyclic = False
-            continue
-        pair = (min(i, j), max(i, j))
-        if pair in seen_pairs:
-            simple = False
-        seen_pairs.add(pair)
-        if uf.find(i) == uf.find(j):
-            acyclic = False
-        uf.union(i, j)
-    checks["acyclic"] = acyclic
-    checks["simple_no_self_loops"] = simple
-
+    # A multigraph is a forest exactly when nodes = components + edges (a
+    # repeated edge or a self-loop breaks the identity), so one count answers
+    # "acyclic", "components_are_paths" (trees; degree is checked above) and
+    # "nodes_are_components_plus_edges".
     blocks = cg.component_blocks()
-    block_of = {node: bi for bi, block in enumerate(blocks) for node in block}
-    edges_per_block = Counter(block_of[ce.forward_class] for ce in cg.edges)
-    checks["components_are_paths"] = all(
-        edges_per_block[bi] == len(block) - 1 for bi, block in enumerate(blocks)
+    forest = n_nodes == len(blocks) + len(cg.edges)
+    checks["acyclic"] = forest
+    links = {tuple(sorted((ce.forward_class, ce.backward_class))) for ce in cg.edges}
+    checks["simple_no_self_loops"] = len(links) == len(cg.edges) and all(
+        i != j for i, j in links
     )
+    checks["components_are_paths"] = forest
 
     deleted = cg.graph.delete_edge(cg.cycle_edge)
     kappa_deleted = kappa(deleted).value
@@ -227,13 +212,14 @@ def verify_collapse_structure(cg, cap=None):
     kappa_contracted = kappa(contracted).value
     checks["edge_count_matches_contraction"] = len(cg.edges) == kappa_contracted
 
-    checks["nodes_are_components_plus_edges"] = n_nodes == len(blocks) + len(cg.edges)
+    checks["nodes_are_components_plus_edges"] = forest
 
     # Deleting e must merge exactly the classes lying on one component:
     # one class per component, a different one for each.  A representative
     # reads on the deleted graph with bit e dropped.
     deleted_partition = kappa_partition_bruteforce(deleted, cap)
     below = (1 << cg.cycle_edge) - 1
+    block_of = {node: bi for bi, block in enumerate(blocks) for node in block}
     reps = [cls[0] for cls in cg.partition.classes]
     pairs = {
         (block_of[node], deleted_partition.class_of_bits(rep & below | (rep >> 1) & ~below))

@@ -111,11 +111,16 @@ def is_acyclic(o):
     return _is_acyclic_bits(o.graph, o.bits)
 
 
-def enumerate_acyclic(g, cap=None):
-    """All acyclic orientations of g, in ascending bitmask order."""
+def acyclic_masks(g, cap=None):
+    """The bitmasks of all acyclic orientations of g, ascending."""
     _require_loop_free(g)
     _check_cap(g, cap)
-    return [Orientation(g, bits) for bits in _acyclic_masks(g)]
+    return _acyclic_masks(g)
+
+
+def enumerate_acyclic(g, cap=None):
+    """All acyclic orientations of g, in ascending bitmask order."""
+    return [Orientation(g, bits) for bits in acyclic_masks(g, cap)]
 
 
 def click(o, v):
@@ -328,8 +333,7 @@ class PathSpec:
         closed = obj.get("closed", False)
         if not isinstance(closed, bool):
             raise GraphInputError("malformed path spec: closed must be true or false")
-        choice = obj.get("edges")
-        edge_choice = None if choice is None else _int_tuple("edges", choice)
+        edge_choice = _int_tuple("edges", obj["edges"]) if "edges" in obj else None
         return cls(_int_tuple("vertices", vertices), closed, edge_choice)
 
     def to_json(self):
@@ -382,13 +386,28 @@ class PathSpec:
             steps.append((x, y, eid))
         return tuple(steps)
 
+    def edge_masks(self, g):
+        """(up, down): the masks of the path's edges in g walked toward the
+        larger label and toward the smaller one."""
+        up = down = 0
+        for x, y, eid in self.resolve(g):
+            if x < y:
+                up |= 1 << eid
+            else:
+                down |= 1 << eid
+        return up, down
+
+
+def nu_bits(bits, up, down):
+    """Forward-minus-backward edge count of the orientation `bits` along a
+    path with edge masks (up, down) from `PathSpec.edge_masks`.  An up edge
+    is walked forward when its bit is 0, a down edge when it is 1."""
+    return 2 * ((bits ^ up) & (up | down)).bit_count() - (up | down).bit_count()
+
 
 def nu_path(o, p):
     """Forward-minus-backward edge count of o along the path p."""
-    total = 0
-    for x, y, eid in p.resolve(o.graph):
-        total += 1 if o.arc(eid) == (x, y) else -1
-    return total
+    return nu_bits(o.bits, *p.edge_masks(o.graph))
 
 
 def cut_equivalent(o1, o2):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
 from .graphs import Multigraph, UnionFind, bfs_order
@@ -29,75 +30,45 @@ DEFAULT_ORACLE_CAP = 16
 
 @dataclass(frozen=True)
 class TuttePolynomial:
-    """Dense nonnegative coefficient table: coeffs[i][j] multiplies x^i y^j."""
+    """Nonnegative coefficients: coeffs[i, j] multiplies x^i y^j.  Built from
+    any mapping; held read-only, with zero coefficients dropped."""
 
-    coeffs: tuple
+    coeffs: MappingProxyType
 
     def __post_init__(self):
-        rows = [list(r) for r in self.coeffs]
-        if not rows:
-            rows = [[0]]
-        for row in rows:
-            for c in row:
-                if c < 0:
-                    raise InternalInvariantError(
-                        f"negative coefficient {c} in a Tutte polynomial"
-                    )
-        width = max(1, max(len(r) for r in rows))
-        for row in rows:
-            row.extend([0] * (width - len(row)))
-        while len(rows) > 1 and not any(rows[-1]):
-            rows.pop()
-        while width > 1 and not any(row[width - 1] for row in rows):
-            for row in rows:
-                row.pop()
-            width -= 1
-        object.__setattr__(self, "coeffs", tuple(tuple(r) for r in rows))
+        for c in self.coeffs.values():
+            if c < 0:
+                raise InternalInvariantError(
+                    f"negative coefficient {c} in a Tutte polynomial"
+                )
+        nonzero = {key: c for key, c in self.coeffs.items() if c}
+        object.__setattr__(self, "coeffs", MappingProxyType(nonzero))
 
     def coefficient(self, i, j):
-        if 0 <= i < len(self.coeffs) and 0 <= j < len(self.coeffs[0]):
-            return self.coeffs[i][j]
-        return 0
+        return self.coeffs.get((i, j), 0)
 
     def __add__(self, other):
-        rows = max(len(self.coeffs), len(other.coeffs))
-        cols = max(len(self.coeffs[0]), len(other.coeffs[0]))
-        out = [
-            [self.coefficient(i, j) + other.coefficient(i, j) for j in range(cols)]
-            for i in range(rows)
-        ]
-        return TuttePolynomial(tuple(tuple(r) for r in out))
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return TuttePolynomial(out)
 
     def __mul__(self, other):
-        rows = len(self.coeffs) + len(other.coeffs) - 1
-        cols = len(self.coeffs[0]) + len(other.coeffs[0]) - 1
-        out = [[0] * cols for _ in range(rows)]
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                for k, orow in enumerate(other.coeffs):
-                    for l, d in enumerate(orow):
-                        if d:
-                            out[i + k][j + l] += c * d
-        return TuttePolynomial(tuple(tuple(r) for r in out))
+        out = defaultdict(int)
+        for (i, j), c in self.coeffs.items():
+            for (k, l), d in other.coeffs.items():
+                out[i + k, j + l] += c * d
+        return TuttePolynomial(out)
 
     def evaluate(self, x, y):
-        total = 0
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c:
-                    total += c * x**i * y**j
-        return total
+        return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
     def terms(self):
         """Nonzero (i, j, c) triples, highest x-power first, then low y."""
-        out = []
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c:
-                    out.append((i, j, c))
-        return sorted(out, key=lambda t: (-t[0], t[1]))
+        return sorted(
+            ((i, j, c) for (i, j), c in self.coeffs.items()),
+            key=lambda t: (-t[0], t[1]),
+        )
 
     def to_text(self):
         parts = []
@@ -127,7 +98,7 @@ def tutte_polynomial(g, cap=None):
 
     Each loop contributes a factor y and isolated vertices contribute
     nothing; the rest is the rank-nullity sum over all edge subsets A,
-    computed by one frontier pass (`_subset_counts`) and shifted from
+    computed by one frontier pass (`_subset_counts`) and expanded from
     powers of (x-1), (y-1) to powers of x, y.
     """
     _check_tutte_cap(g, cap)
@@ -221,30 +192,15 @@ def _retire(states, j, closes):
 
 def _from_corank_nullity(counts, loops=0):
     """y^loops * sum of count (x-1)^i (y-1)^j over counts {(i, j): count}."""
-    rows = max(i for i, _ in counts) + 1
-    cols = max(j for _, j in counts) + 1
-    table = [[0] * cols for _ in range(rows)]
+    # (t-1)^k = sum over a of comb(k, a) (-1)^(k-a) t^a
+    top = max(max(key) for key in counts)
+    signed = [[comb(k, a) * (-1) ** (k - a) for a in range(k + 1)] for k in range(top + 1)]
+    coeffs = defaultdict(int)
     for (i, j), count in counts.items():
-        table[i][j] += count
-    # (t-1)^k = sum over a of comb(k, a) (-1)^(k-a) t^a, once along each axis
-    signed = [
-        [comb(k, a) * (-1) ** (k - a) for a in range(k + 1)]
-        for k in range(max(rows, cols))
-    ]
-
-    def shift_rows(table):
-        out = []
-        for a in range(len(table)):
-            acc = [0] * len(table[0])
-            for k in range(a, len(table)):
-                c = signed[k][a]
-                acc = [s + c * t for s, t in zip(acc, table[k])]
-            out.append(acc)
-        return out
-
-    table = shift_rows(list(zip(*shift_rows(table))))
-    table = [[0] * loops + list(row) for row in zip(*table)]
-    return TuttePolynomial(tuple(tuple(r) for r in table))
+        for a, s in enumerate(signed[i]):
+            for b, t in enumerate(signed[j]):
+                coeffs[a, b + loops] += count * s * t
+    return TuttePolynomial(coeffs)
 
 
 def tutte_eval(g, x, y, cap=None):

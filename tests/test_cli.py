@@ -138,6 +138,7 @@ def test_nu_closed_path_edges_name_input_edge_lines(capsys, tmp_path, edges, cod
         ({"edges": [0, 1.9, 2]}, 2),
         ({"edges": "012"}, 2),
         ({"edges": [0, True, 2]}, 2),
+        ({"edges": None}, 2),
     ],
 )
 def test_nu_path_spec_is_read_without_coercion(capsys, tmp_path, change, code):
