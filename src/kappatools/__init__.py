@@ -1,8 +1,9 @@
 """Counting source-to-sink equivalence classes of acyclic orientations.
 
-Three independent routes to the same number: brute-force click-class
-enumeration (`orientations`), a pruned deletion/contraction recursion
-(`kappa`), and Tutte polynomial evaluation at (1, 0) (`tutte`).  The
+Three routes to the same number: brute-force click-class enumeration
+(`orientations`), the y=0 engine (`kappa`: a frontier sum on sparse
+pieces, deletion/contraction on dense ones), and Tutte polynomial
+evaluation at (1, 0) (`tutte`, built by the same frontier walk).  The
 `collapse` module materializes how classes merge when a cycle-edge is
 deleted, and `cli` wires everything into a batch tool.
 """

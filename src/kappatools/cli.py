@@ -341,8 +341,10 @@ def build_parser():
             )
         return p
 
-    p = add("kappa", _cmd_kappa, "class count by the deletion/contraction recursion")
-    p.add_argument("--trace", action="store_true", help="attach the recursion tree")
+    p = add("kappa", _cmd_kappa, "class count by the y=0 engine, without enumeration")
+    p.add_argument(
+        "--trace", action="store_true", help="attach the deletion/contraction recursion tree"
+    )
     add(
         "alpha", _cmd_alpha,
         "acyclic orientation count, brute force and Tutte at (2,0)", brute_force=True,

@@ -1,30 +1,41 @@
 """Fast click-class counting, no orientation enumeration.
 
-One deletion/contraction engine evaluates the Tutte polynomial on the
-line y = 0: `_Engine(1)` gives the class count kappa = T(1, 0), and
-`tutte_eval(g, x, 0)` runs the same engine at any integer x (x = 2
-counts acyclic orientations).  The value for a graph is the value after
-deleting a cycle-edge plus the value after contracting it.  Three
-prunings keep the recursion small: parallel edges collapse, each bridge
-contributes a factor x, and disjoint pieces multiply.  A piece that is a
-cycle C_m is answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at
-x = 1), without a memo key or a recursion.  Other pieces are memoized on
-a normalized graph key.
+One engine evaluates the Tutte polynomial on the line y = 0: `_Engine(1)`
+gives the class count kappa = T(1, 0), and `tutte_eval(g, x, 0)` runs the
+same engine at any integer x (x = 2 counts acyclic orientations).  Three
+prunings come first: parallel edges collapse, each bridge contributes a
+factor x, and disjoint pieces multiply.  A piece that is a cycle C_m is
+answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
+sparse piece, one with fewer than DENSE_SHARE of all vertex pairs as
+edges, is answered by `frontier_sum`.  A dense piece is split by
+deletion/contraction (the value after deleting a cycle-edge plus the
+value after contracting it), memoized on a normalized graph key, which
+hits often on dense pieces and seldom on sparse ones.
+
+`frontier_sum` is one walk over all edge subsets A with one integer
+weight per partition of the frontier vertices (Sekine, Imai and Tani,
+ISAAC 1995).  `tutte._subset_counts` runs the same walk with other
+weights to build the full polynomial.
 
 `kappa_with_trace` runs a separate recursion, `_trace`: the same
-deletion/contraction at x = 1, unmemoized and without the cycle rule, so
-its tree is the complete unfolded recursion.
+deletion/contraction at x = 1, unmemoized, without the cycle rule and
+without the frontier sum, so its tree is the complete unfolded recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 
 from .errors import CapExceededError, GraphInputError
-from .graphs import memo_key
+from .graphs import bfs_order, memo_key
 
 TRACE_LEAF_CAP = 10_000
+
+# Pieces with at least this share of all vertex pairs as edges are split by
+# deletion/contraction; sparser ones go to the frontier sum.
+DENSE_SHARE = 0.75
 
 
 @dataclass
@@ -76,8 +87,82 @@ def _least_edge(c):
     return min(range(c.m), key=lambda i: c.edges[i])
 
 
+def frontier_sum(g, take, close, scale=mul):
+    """Sum over the edge subsets A of a loop-free g of
+    take^|A| * close^closed(A), where closed(A) = c(A) - c(E) and c counts
+    the components of (V, A) over the vertices that touch an edge.
+
+    Those vertices are taken in `graphs.bfs_order`, each edge at its later
+    endpoint, and a vertex leaves the frontier after its last edge.  For
+    every canonical partition of the frontier vertices (block labels in
+    order of first occurrence) one integer holds the summed weight of the
+    subsets reaching it.  Taking an edge scales a weight by `take`.  A
+    block that leaves the frontier while other blocks remain open scales
+    it by `close`; the last block of a component does not, since the
+    breadth-first order keeps each component contiguous.  A weight that
+    becomes 0 is dropped.  `scale` is the scaling: `mul`, or `lshift`
+    when take and close are shift amounts.
+    """
+    degree = g.degrees
+    order = [v for v in bfs_order(g) if degree[v]]
+    pos = [0] * g.n_vertices
+    for i, v in enumerate(order):
+        pos[v] = i
+    edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in g.edges)
+    last = {}
+    for i, (hi, lo) in enumerate(edges):
+        last[hi] = last[lo] = i
+    states = {(): 1}
+    frontier = []
+    i = 0
+    for p in range(len(order)):
+        frontier.append(p)
+        states = {
+            blocks + (max(blocks, default=-1) + 1,): weight
+            for blocks, weight in states.items()
+        }
+        while i < len(edges) and edges[i][0] == p:
+            ia, ib = frontier.index(edges[i][1]), len(frontier) - 1
+            out = dict(states)
+            for blocks, weight in states.items():
+                lo, hi = blocks[ia], blocks[ib]
+                if lo != hi:
+                    if lo > hi:
+                        lo, hi = hi, lo
+                    blocks = tuple([lo if b == hi else b - (b > hi) for b in blocks])
+                out[blocks] = out.get(blocks, 0) + scale(weight, take)
+            states = out
+            for v in edges[i]:
+                if last[v] == i:
+                    states = _retire(states, frontier.index(v), close, scale)
+                    frontier.remove(v)
+            i += 1
+    return sum(states.values())
+
+
+def _retire(states, j, close, scale):
+    """Drop frontier slot j from every partition.  A block that loses its
+    last frontier vertex while other blocks remain is scaled by `close`."""
+    out = {}
+    for blocks, weight in states.items():
+        b = blocks[j]
+        rest = blocks[:j] + blocks[j + 1 :]
+        if b not in rest:
+            if rest:
+                weight = scale(weight, close)
+                if not weight:
+                    continue
+            rest = tuple([x - (x > b) for x in rest])
+        elif b not in blocks[:j]:
+            relabel = {}
+            rest = tuple([relabel.setdefault(x, len(relabel)) for x in rest])
+        out[rest] = out.get(rest, 0) + weight
+    return out
+
+
 class _Engine:
-    """T(g; x, 0) by deletion/contraction, memoized for one x."""
+    """T(g; x, 0) for one x: pruning, closed-form cycles, the frontier sum
+    on sparse pieces and memoized deletion/contraction on dense ones."""
 
     def __init__(self, x):
         self.x = x
@@ -95,8 +180,13 @@ class _Engine:
 
     def _solve_component(self, c):
         """c is connected, simple, bridge-free, with at least one edge."""
-        if c.m == c.n_vertices:
+        n = c.n_vertices
+        if c.m == n:
             return _cycle_value(c.m, self.x)
+        if 2 * c.m < DENSE_SHARE * n * (n - 1):
+            # T(c; x, 0) = (-1)^(n+1) sum over A of (-1)^|A| (1-x)^(c(A)-1)
+            value = frontier_sum(c, -1, 1 - self.x)
+            return value if n % 2 else -value
         key = memo_key(c)
         if key in self.memo:
             self.stats.hits += 1
@@ -137,11 +227,12 @@ def _trace_component(c):
 def kappa(g):
     """Number of click-equivalence classes of acyclic orientations of g.
 
-    Parallel edges are fine (they collapse); loops are rejected.  The
-    recursion splits the lexicographically least cycle-edge.  Each call
-    memoizes into a fresh cache; its hits and misses are returned as
-    `cache_stats`.  Cycle pieces are answered in closed form and never
-    reach the cache, so they count as neither hits nor misses.
+    Parallel edges are fine (they collapse); loops are rejected.  Dense
+    pieces are split on their lexicographically least cycle-edge and
+    memoized into a fresh cache per call; its hits and misses are returned
+    as `cache_stats`.  Cycle pieces (closed form) and sparse pieces (the
+    frontier sum) never reach the cache, so they count as neither hits
+    nor misses.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")

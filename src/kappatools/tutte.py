@@ -3,14 +3,17 @@
 T(x, y) is the rank-nullity sum over all edge subsets A of
 (x-1)^(c(A)-c(E)) (y-1)^(|A|-n+c(A)), with c the number of components.
 `tutte_polynomial` computes it in one pass over the edges (Sekine, Imai
-and Tani, ISAAC 1995): the vertices are taken in the breadth-first order
-of `graphs.bfs_order`, and for each partition of the frontier (the
-vertices seen that still have edges to come) it keeps the number of
-subsets per (closed components, |A|).  The work grows with the number
-of frontier partitions, not with 2^m.  Evaluations at y=0 do not build
-the polynomial: they run the one y=0 engine of `kappatools.kappa` (the
-deletion/contraction recursion that counts click-classes), so the
-polynomial and that recursion are independent routes to kappa = T(1, 0).
+and Tani, ISAAC 1995): `kappa.frontier_sum` takes the vertices in the
+breadth-first order of `graphs.bfs_order`, and for each partition of the
+frontier (the vertices seen that still have edges to come) it keeps the
+number of subsets per (corank, |A|), packed into one integer.  The work
+grows with the number of frontier partitions, not with 2^m.  Evaluations
+at y=0 do not build the polynomial: they run the one y=0 engine of
+`kappatools.kappa`, which answers sparse pieces with the same frontier
+walk and splits dense ones by deletion/contraction.  So this polynomial
+and that engine share code, and the checks independent of both are brute
+force (`orientations`), the subset-expansion oracle below and the closed
+forms of the tests.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
+from operator import lshift
 from types import MappingProxyType
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
-from .graphs import Multigraph, UnionFind, bfs_order
-from .kappa import _Engine
+from .graphs import Multigraph, UnionFind
+from .kappa import _Engine, frontier_sum
 
 DEFAULT_TUTTE_CAP = 30
 DEFAULT_ORACLE_CAP = 16
@@ -111,83 +115,26 @@ def tutte_polynomial(g, cap=None):
 def _subset_counts(g):
     """{(corank, nullity): number of edge subsets A} of a loop-free graph g.
 
-    corank = c(A) - c(E) and nullity = |A| - n + c(A), with c counting the
-    components of (V, A) over the vertices that touch an edge.  Those
-    vertices are taken in `graphs.bfs_order`, each edge at its later
-    endpoint, and a vertex leaves the frontier after its last edge.  For
-    every canonical partition of the frontier vertices (block labels in
-    order of first occurrence) one integer holds the number of subsets
-    reaching it per (closed, |A|), where closed counts the components
-    that left the frontier: that count sits in the bits from
-    (closed * (m + 1) + |A|) * (m + 1) up.  No count exceeds 2^m, so
-    m + 1 bits per slot never carry, and taking an edge or closing a
-    component is one shift.
+    corank = c(A) - c(E) and nullity = |A| - n' + c(A), with c counting the
+    components of (V, A) over the n' vertices that touch an edge, so the
+    nullity is |A| - r(E) + corank with r(E) = n - c(V, E).  One
+    `kappa.frontier_sum` walk carries the count per (corank, |A|) in one
+    integer: taking an edge shifts it by m + 1 bits and a component that
+    closes early by (m + 1)^2, so the count of a pair sits in the bits from
+    (corank * (m + 1) + |A|) * (m + 1) up.  No count exceeds 2^m, so
+    m + 1 bits per slot never carry.
     """
-    degree = g.degrees
-    order = [v for v in bfs_order(g) if degree[v]]
-    pos = [0] * g.n_vertices
-    for i, v in enumerate(order):
-        pos[v] = i
-    edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in g.edges)
-    last = {}
-    for i, (hi, lo) in enumerate(edges):
-        last[hi] = last[lo] = i
-    bits = len(edges) + 1
-    closes = bits * bits
-    states = {(): 1}
-    frontier = []
-    i = 0
-    for p in range(len(order)):
-        frontier.append(p)
-        states = {
-            blocks + (max(blocks, default=-1) + 1,): weight
-            for blocks, weight in states.items()
-        }
-        while i < len(edges) and edges[i][0] == p:
-            ia, ib = frontier.index(edges[i][1]), len(frontier) - 1
-            out = dict(states)
-            for blocks, weight in states.items():
-                lo, hi = blocks[ia], blocks[ib]
-                if lo != hi:
-                    if lo > hi:
-                        lo, hi = hi, lo
-                    blocks = tuple([lo if b == hi else b - (b > hi) for b in blocks])
-                out[blocks] = out.get(blocks, 0) + (weight << bits)
-            states = out
-            for v in edges[i]:
-                if last[v] == i:
-                    states = _retire(states, frontier.index(v), closes)
-                    frontier.remove(v)
-            i += 1
-    (weight,) = states.values()
+    bits = g.m + 1
+    weight = frontier_sum(g, bits, bits * bits, lshift)
+    rank = g.n_vertices - len(g.connected_components())
     mask = (1 << bits) - 1
-    by_closed = {}
+    counts = {}
     for slot in range(weight.bit_length() // bits + 1):
         count = (weight >> slot * bits) & mask
         if count:
-            by_closed[divmod(slot, bits)] = count
-    least = min(closed for closed, _ in by_closed)
-    return {
-        (closed - least, size - len(order) + closed): count
-        for (closed, size), count in by_closed.items()
-    }
-
-
-def _retire(states, j, closes):
-    """Drop frontier slot j from every partition; a block that loses its
-    last frontier vertex is a closed component, one shift by `closes`."""
-    out = {}
-    for blocks, weight in states.items():
-        b = blocks[j]
-        rest = blocks[:j] + blocks[j + 1 :]
-        if b not in rest:
-            weight <<= closes
-            rest = tuple([x - (x > b) for x in rest])
-        elif b not in blocks[:j]:
-            relabel = {}
-            rest = tuple([relabel.setdefault(x, len(relabel)) for x in rest])
-        out[rest] = out.get(rest, 0) + weight
-    return out
+            corank, size = divmod(slot, bits)
+            counts[corank, size - rank + corank] = count
+    return counts
 
 
 def _from_corank_nullity(counts, loops=0):
@@ -206,10 +153,11 @@ def _from_corank_nullity(counts, loops=0):
 def tutte_eval(g, x, y, cap=None):
     """Evaluate the Tutte polynomial of g at an integer point (x, y).
 
-    At y=0 the deletion/contraction engine of `kappatools.kappa` runs with
-    a fresh memo: a loop makes the value 0, parallel classes collapse,
-    bridges factor out as powers of x, and cycles are summed in closed
-    form.  Other points evaluate the full polynomial of the frontier sum.
+    At y=0 the engine of `kappatools.kappa` runs with a fresh memo: a loop
+    makes the value 0, parallel classes collapse, bridges factor out as
+    powers of x, cycles are summed in closed form, sparse pieces go to the
+    frontier sum and dense ones to deletion/contraction.  Other points
+    evaluate the full polynomial of the frontier sum.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise GraphInputError("evaluation point must be a pair of integers")
@@ -226,7 +174,7 @@ def tutte_oracle_rank_nullity(g, cap=None):
 
     Sums (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) over every edge subset A, with
     r(A) = n - components(A).  Exponential and deliberately unrelated to
-    the deletion/contraction recursion.
+    the frontier walk and the deletion/contraction recursion.
     """
     cap = DEFAULT_ORACLE_CAP if cap is None else cap
     if g.m > cap:

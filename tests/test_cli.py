@@ -362,9 +362,16 @@ def theta_graph(paths, length):
     return Multigraph(n, tuple(edges))
 
 
+def test_kappa_on_long_series_paths(capsys, tmp_path):
+    # sparse pieces go to the frontier sum, which does not recurse
+    theta = tmp_path / "theta.txt"
+    theta.write_text(theta_graph(3, 500).to_edge_list_text())
+    code, out, _ = run_cli(capsys, "kappa", str(theta))
+    assert code == 0
+    assert out == "748501\n"
+
+
 def test_too_deep_recursion_is_exit_3(capsys, tmp_path):
-    # the counting engine takes two stack frames per contraction, so three
-    # 200-edge series paths fit in the default recursion limit
     theta = tmp_path / "theta.txt"
     theta.write_text(theta_graph(3, 200).to_edge_list_text())
     code, out, _ = run_cli(capsys, "kappa", str(theta))

@@ -1,6 +1,7 @@
 """Tutte polynomial engine against the subset-expansion oracle, networkx
 and the y=0 recursion."""
 
+import importlib
 import random
 
 import pytest
@@ -16,11 +17,12 @@ from kappatools.corpus import (
     random_multigraph,
 )
 from kappatools.errors import CapExceededError, GraphInputError, InternalInvariantError
-from kappatools.graphs import Multigraph
+from kappatools.graphs import Multigraph, UnionFind
 from kappatools.kappa import kappa
 from kappatools.orientations import enumerate_acyclic
 from kappatools.tutte import (
     TuttePolynomial,
+    _subset_counts,
     tutte_eval,
     tutte_oracle_rank_nullity,
     tutte_polynomial,
@@ -158,6 +160,76 @@ def test_y0_engine_on_long_cycles(n):
     g = cycle_graph(n)
     for x in range(4):
         assert tutte_eval(g, x, 0, cap=n) == sum(x**i for i in range(1, n))
+
+
+def _dense_and_sparse(rng):
+    """A loop-free multigraph of up to 30 edges, randomly labelled: a piece
+    with most vertex pairs joined, a sparse piece, or both (so disconnected),
+    with a few parallel edges and up to two isolated vertices."""
+    pieces = rng.choice(["dense", "sparse", "both"])
+    edges, n = [], 0
+    if pieces != "sparse":
+        k = rng.randint(4, 6)
+        edges += [(n + a, n + b) for b in range(k) for a in range(b) if rng.random() < 0.9]
+        n += k
+    if pieces != "dense":
+        k = rng.randint(5, 8)
+        edges += [(n + rng.randrange(v), n + v) for v in range(1, k)]
+        edges += [tuple(rng.sample(range(n, n + k), 2)) for _ in range(k // 2)]
+        n += k
+    edges += rng.sample(edges, min(2, len(edges)))
+    n += rng.randint(0, 2)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Multigraph(n, tuple((perm[a], perm[b]) for a, b in edges))
+
+
+def test_y0_engine_matches_polynomial_on_both_sides_of_the_density_threshold(monkeypatch):
+    # the package re-exports the function `kappa` under the module's name
+    kappa_module = importlib.import_module("kappatools.kappa")
+    calls = {"frontier_sum": 0, "memo_key": 0}
+    for name in calls:
+        original = getattr(kappa_module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(kappa_module, name, counted)
+    rng = random.Random(31)
+    for _ in range(40):
+        g = _dense_and_sparse(rng)
+        poly = tutte_polynomial(g)
+        for x in range(4):
+            assert tutte_eval(g, x, 0) == poly.evaluate(x, 0), (g, x)
+    # both the frontier sum and deletion/contraction answered pieces
+    assert calls["frontier_sum"] > 0 and calls["memo_key"] > 0
+
+
+def _subset_counts_by_enumeration(g):
+    components = len(g.connected_components())
+    counts = {}
+    for mask in range(1 << g.m):
+        uf = UnionFind(g.n_vertices)
+        for eid, (a, b) in enumerate(g.edges):
+            if mask >> eid & 1:
+                uf.union(a, b)
+        corank = uf.n_components - components
+        nullity = bin(mask).count("1") - g.n_vertices + uf.n_components
+        counts[corank, nullity] = counts.get((corank, nullity), 0) + 1
+    return counts
+
+
+def test_subset_counts_on_disconnected_graphs():
+    rng = random.Random(37)
+    graphs = [Multigraph(5, ()), Multigraph(7, ((0, 1), (2, 3), (2, 3), (4, 5)))]
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
+        graphs.append(Multigraph(n, tuple(edges)))
+    assert any(len(g.connected_components()) > 2 for g in graphs)
+    for g in graphs:
+        assert _subset_counts(g) == _subset_counts_by_enumeration(g), g
 
 
 def test_kappa_identity_on_random_graphs():
