@@ -15,6 +15,12 @@ contracting that edge makes its spoke parallel to the next one, again
 fan_(k-1).  So kappa(fan_k) = 2 kappa(fan_(k-1)), and with fan_1 a single
 edge, kappa(fan_k) = 2^(k-1).  With W_3 = K_4 and kappa(K_4) = 6,
 kappa(W_k) = 2^(k-1) + 2^(k-1) - 2 = 2^k - 2.
+
+Acyclic orientations.  By Stanley, their number is |P(G, -1)|, P the
+chromatic polynomial: n! for K_n, 2^n - 2 for C_n, 2^(n-1) for a tree on n
+vertices, and, from P(K_(2,n), k) = k(k-1)^n + k(k-1)(k-2)^n,
+|2(-3)^n - (-2)^n| for K_(2,n).  Brute force lists them past its default
+cap when given cap = m.
 """
 
 import random
@@ -24,6 +30,7 @@ import pytest
 
 from kappatools.graphs import Multigraph
 from kappatools.kappa import kappa
+from kappatools.orientations import acyclic_masks, kappa_partition_bruteforce
 from kappatools.tutte import DEFAULT_TUTTE_CAP, tutte_eval
 
 
@@ -111,3 +118,24 @@ THETA_LENGTHS = [
 @pytest.mark.parametrize("a, b, c", THETA_LENGTHS)
 def test_theta_graphs(a, b, c):
     check(theta(a, b, c), a * b + b * c + c * a - (a + b + c) + 1, f"theta{a, b, c}")
+
+
+def alpha(g):
+    return len(acyclic_masks(g, cap=g.m))
+
+
+def test_acyclic_counts_past_the_brute_force_cap():
+    rng = random.Random(5)
+    for n in range(1, 9):  # K8 has m = 28: 40320 masks of 2^28
+        assert alpha(complete(n)) == factorial(n), f"K{n}"
+    for n in [*range(3, 13), 18]:
+        assert alpha(cycle(n)) == 2**n - 2, f"C{n}"
+    for n in range(1, 16):
+        assert alpha(random_tree(rng, n)) == 2 ** (n - 1), f"tree on {n} vertices"
+    for n in range(1, 9):
+        assert alpha(k2n(n)) == abs(2 * (-3) ** n - (-2) ** n), f"K_2,{n}"
+
+
+def test_brute_force_classes_past_the_cap():
+    for g, expected in ((complete(7), factorial(6)), (cycle(16), 15)):
+        assert kappa_partition_bruteforce(g, cap=g.m).class_count == expected

@@ -19,8 +19,12 @@ from kappatools.graphs import Multigraph, UnionFind
 from kappatools.orientations import (
     Orientation,
     PathSpec,
+    _acyclic_masks,
+    _bit_tables,
     _click_class_masks,
     _cut_moves,
+    _peels,
+    acyclic_masks,
     apply_click_sequence,
     click,
     cut_equivalence_classes,
@@ -114,6 +118,80 @@ def test_enumerate_cap_error_names_cap():
 def test_enumerate_rejects_loops():
     with pytest.raises(GraphInputError):
         enumerate_acyclic(Multigraph(2, ((0, 0), (0, 1))))
+
+
+# ----- mask generation against the per-mask peel -----
+
+def peeled_masks(g):
+    """Every mask that `_peels` accepts, by trying all 2^m."""
+    tables = _bit_tables(g)
+    full = (1 << g.m) - 1
+    return tuple(b for b in range(full + 1) if _peels(tables, full, b))
+
+
+def check_against_peel(g):
+    masks = _acyclic_masks(g)
+    assert masks == peeled_masks(g), g
+    assert list(masks) == sorted(masks)
+
+
+def scrambled(g, rng, last=None):
+    """g under a seeded vertex relabelling and edge order; `last`, if
+    given, is the vertex that gets the highest label."""
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    if last is not None:
+        perm.remove(last)
+        perm.append(last)
+    label = {v: i for i, v in enumerate(perm)}
+    edges = [(label[a], label[b]) for a, b in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.n_vertices, tuple(edges))
+
+
+def test_masks_match_peel_on_seeded_multigraphs():
+    rng = random.Random(20261018)
+    seen = {"parallel": 0, "isolated": 0, "disconnected": 0}
+    for _ in range(420):
+        n = rng.randint(0, 7)
+        m = rng.randint(0, 11) if n >= 2 else 0
+        g = Multigraph(n, tuple(tuple(rng.sample(range(n), 2)) for _ in range(m)))
+        check_against_peel(g)
+        seen["parallel"] += len(set(g.edges)) < g.m
+        seen["isolated"] += 0 in g.degrees
+        seen["disconnected"] += len(g.connected_components()) > 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_masks_match_peel_on_scrambled_families():
+    rng = random.Random(7)
+    wheel6 = Multigraph(
+        7, tuple([(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
+    )
+    prism = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
+    grid3 = Multigraph(9, tuple(
+        [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+        + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
+    ))
+    for g in (complete_graph(5), wheel6, prism, grid3):
+        check_against_peel(g)
+        for _ in range(3):
+            check_against_peel(scrambled(g, rng))
+    # The hub, of degree 6, placed last: its out-set ranges over all six rim vertices.
+    check_against_peel(scrambled(wheel6, rng, last=0))
+
+
+def test_masks_skip_vertices_without_earlier_neighbours():
+    """One edge after 5,000 isolated vertices: one step, not 5,000 frames."""
+    g = Multigraph(5002, ((5000, 5001),))
+    assert acyclic_masks(g) == (0, 1)
+
+
+@pytest.mark.parametrize("centre", [0, 14])
+def test_star_masks_with_centre_first_and_last(centre):
+    leaves = [v for v in range(15) if v != centre]
+    g = Multigraph(15, tuple((centre, v) for v in leaves))
+    assert acyclic_masks(g) == tuple(range(1 << 14))
 
 
 # ----- clicks -----
