@@ -5,7 +5,8 @@ Three routes to the same number: brute-force click-class enumeration
 pieces, deletion/contraction on dense ones), and Tutte polynomial
 evaluation at (1, 0) (`tutte`, built by the same frontier walk).  The
 `collapse` module materializes how classes merge when a cycle-edge is
-deleted, and `cli` wires everything into a batch tool.
+deleted, and `cli` wires everything into a batch tool.  `kappatools.kappa`
+is the function; `importlib.import_module("kappatools.kappa")` the module.
 """
 
 from .errors import (

@@ -3,10 +3,10 @@
 Reads graphs in the shared edge-list format (`n m` header, then one `u v`
 line per edge; duplicates are parallel edges, `u u` is a loop), runs one
 computation per invocation, and emits text or versioned JSON.  Exit codes:
-0 success, 2 malformed input, 3 size cap exceeded or recursion too deep,
-4 internal invariant or cross-engine verification failure.  Only the
-brute-force commands take `--cap` (or read KAPPA_BRUTE_CAP), and only
-`verify` takes `--seed`.
+0 success, 1 the reader closed the output pipe early, 2 malformed input,
+3 size cap exceeded or recursion too deep, 4 internal invariant or
+cross-engine verification failure.  Only the brute-force commands take
+`--cap` (or read KAPPA_BRUTE_CAP), and only `verify` takes `--seed`.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ def _emit(args, descriptor, body, text_lines):
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()
 
 
 def _cmd_kappa(args):
@@ -388,6 +389,10 @@ def main(argv=None):
             if args.cap < 1:
                 raise GraphInputError("brute-force cap must be at least 1")
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader left: send the flush at exit to devnull, not the pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,11 @@ admit no acyclic orientation; graphs with parallel edges are partitioned
 after simplification (anti-parallel pairs are 2-cycles, so co-direction is
 forced and nothing is lost).
 
-A click at a source v reverses every edge at v, which is the oriented
-cut around {v}: the click classes and the cut-equivalence classes are the
-same closure (`_merge_classes`) over two move sets, the singleton cuts
-and all oriented cuts (Pretzel, Order 1986, shows the classes agree).
+Pretzel (Order 1986) shows that the click classes, the cut-equivalence
+classes and the classes of ν on cycles agree; ν is additive over the cycle
+space, so the fundamental cycles decide it.  Two algorithms get the classes:
+`_click_class_masks` closes the click graph, and `cut_equivalence_classes`
+groups the masks by ν on fundamental cycles.
 """
 
 from __future__ import annotations
@@ -72,12 +73,8 @@ def _peels(tables, active, bits):
     return True
 
 
-def _resolve_cap(cap):
-    return DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
-
-
 def _check_cap(g, cap):
-    cap = _resolve_cap(cap)
+    cap = DEFAULT_BRUTE_FORCE_CAP if cap is None else cap
     if g.m > cap:
         raise CapExceededError("graph", g.m, cap)
 
@@ -330,41 +327,28 @@ class KappaPartition:
         return self.classes
 
 
-def _merge_classes(g, moves):
-    """Classes of the acyclic masks of g under a set of edge reversals.
-
-    A move (flip, out) applies to every acyclic mask whose `flip` edges
-    read exactly `out`, and reverses them all.  Every move used here
-    reverses an oriented cut, so it keeps the mask acyclic.  Returns the
-    classes, and each class's masks, in ascending order.
-    """
-    masks = _acyclic_masks(g)
-    index = {bits: i for i, bits in enumerate(masks)}
-    uf = UnionFind(len(masks))
-    for i, bits in enumerate(masks):
-        for flip, out in moves:
-            if bits & flip == out:
-                j = index.get(bits ^ flip)
-                if j is None:
-                    raise InternalInvariantError(
-                        "reversing an oriented cut left the acyclic set"
-                    )
-                uf.union(i, j)
-    return tuple(tuple(masks[i] for i in block) for block in uf.groups())
-
-
 def _click_class_masks(g, cap):
     """Connected components of the click graph over the acyclic masks of g.
 
-    A click at v is the move of the singleton cut around v.  g may have
-    parallel edges (they are forced co-directed); the caller decides
-    whether to simplify first.
+    A click reverses every edge at a source, so it keeps the mask acyclic.
+    g may have parallel edges (forced co-directed); the caller decides
+    whether to simplify first.  Classes and masks come out ascending.
     """
     _require_loop_free(g)
     _check_cap(g, cap)
     out, incident = _bit_tables(g)
-    singletons = [(incident[v], out[v]) for v in range(g.n_vertices) if incident[v]]
-    return _merge_classes(g, singletons)
+    clicks = [(incident[v], out[v]) for v in range(g.n_vertices) if incident[v]]
+    masks = _acyclic_masks(g)
+    index = {bits: i for i, bits in enumerate(masks)}
+    uf = UnionFind(len(masks))
+    for i, bits in enumerate(masks):
+        for flip, source in clicks:
+            if bits & flip == source:
+                j = index.get(bits ^ flip)
+                if j is None:
+                    raise InternalInvariantError("a click left the acyclic set")
+                uf.union(i, j)
+    return tuple(tuple(masks[i] for i in block) for block in uf.groups())
 
 
 def kappa_partition_bruteforce(g, cap=None):
@@ -377,43 +361,53 @@ def kappa_partition_bruteforce(g, cap=None):
 def cut_equivalence_classes(g, cap=None):
     """Transitive closure of cut-equivalence over simplify(g), as bit classes.
 
-    The same closure as the click classes, over a larger move set: not
-    only the singleton cuts but every oriented cut.  Every bipartition of
-    each connected component is tried, with the rest of the graph
-    outside.  This gives the same classes as trying every bipartition of
-    the whole graph: reversing an oriented cut reverses each component's
-    restriction of it, and each restriction is itself an oriented cut.
-    Returns the same (sorted) shape that KappaPartition.classes holds.
+    Pretzel (Order 1986): the classes are those of ν on cycles, and ν is
+    additive over the cycle space, so the masks are grouped by ν on the
+    fundamental cycles.  The masks come ascending, so the classes come out
+    in the sorted shape that KappaPartition.classes holds.
     """
     _require_loop_free(g)
     s = g.simplify()
     _check_cap(s, cap)
-    return _merge_classes(s, _cut_moves(s))
+    cycles = _fundamental_cycles(s)
+    classes = {}
+    for bits in _acyclic_masks(s):
+        key = tuple(nu_bits(bits, up, down) for up, down in cycles)
+        classes.setdefault(key, []).append(bits)
+    return tuple(map(tuple, classes.values()))
 
 
-def _cut_moves(s):
-    """One (flip, out) move per bipartition of each component of s.
+def _fundamental_cycles(s):
+    """One (up, down) edge-mask pair, as `nu_bits` reads them, per non-tree
+    edge of a breadth-first spanning forest of the simple graph s.
 
-    Each bipartition appears once, its first vertex on `side`, with every
-    cut edge leaving `side`; the reverse move is the same pair of masks.
-    A single (isolated) vertex has none.
+    up[v] and down[v] are the tree edges from v to its root that step to a
+    larger and a smaller label.  A non-tree edge a < b is walked from a to
+    b, then to the root and down to a; edges both root paths share cancel.
     """
-    moves = []
-    for block in s.connected_components():
-        slot = {v: i for i, v in enumerate(block)}
-        edges = [(eid, slot[a], slot[b]) for eid, (a, b) in enumerate(s.edges) if a in slot]
-        for side in range(1, (1 << len(block)) - 1, 2):
-            flip = 0
-            out = 0  # cut edges whose larger endpoint is inside `side`
-            for eid, a, b in edges:
-                a_in = (side >> a) & 1
-                b_in = (side >> b) & 1
-                if a_in != b_in:
-                    flip |= 1 << eid
-                    if b_in:
-                        out |= 1 << eid
-            moves.append((flip, out))
-    return moves
+    n = s.n_vertices
+    up, down, seen = [0] * n, [0] * n, [False] * n
+    tree = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for eid, w in s._incidence[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+                    bit = 1 << eid
+                    tree |= bit
+                    up[w] = up[v] | (bit if w < v else 0)
+                    down[w] = down[v] | (0 if w < v else bit)
+    cycles = []
+    for eid, (a, b) in enumerate(s.edges):
+        if not tree >> eid & 1:
+            shared = (up[a] | down[a]) & (up[b] | down[b])
+            cycles.append(((1 << eid | up[b] | down[a]) & ~shared, (down[b] | up[a]) & ~shared))
+    return cycles
 
 
 def _int_tuple(key, value):

@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kappatools
 from kappatools.cli import main
 from kappatools.corpus import cycle_graph
 from kappatools.graphs import Multigraph
@@ -167,7 +171,8 @@ def test_verify_single_graph(capsys, c5_file):
 
 
 def test_verify_ignores_isolated_vertices(capsys, tmp_path):
-    # cut classes once tried all 2^(n-1) bipartitions, isolated vertices too
+    # cut classes were once a closure over all 2^(n-1) vertex bipartitions,
+    # isolated vertices too; now they group by ν on fundamental cycles
     path = tmp_path / "edge40.txt"
     path.write_text("40 1\n0 1\n")
     code, out, _ = run_cli(capsys, "verify", str(path))
@@ -176,7 +181,8 @@ def test_verify_ignores_isolated_vertices(capsys, tmp_path):
 
 
 def test_verify_tries_cuts_per_component(capsys, tmp_path):
-    # 2^23 bipartitions of the 24 touched vertices, but 12 per component
+    # the closure over cuts once tried 2^23 bipartitions of the 24 touched
+    # vertices, and later 1 per component; a forest has no cycle to read
     path = tmp_path / "matching12.txt"
     path.write_text("24 12\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(12)))
     code, out, _ = run_cli(capsys, "verify", str(path))
@@ -400,6 +406,25 @@ def test_trace_over_the_leaf_cap_is_exit_3_at_once(capsys, tmp_path):
 
 
 COMMANDS = ("kappa", "alpha", "tutte", "eval", "classes", "transversal", "collapse", "nu", "verify")
+
+
+def test_reader_closing_the_pipe_is_exit_1_without_traceback(tmp_path):
+    # C14's JSON report (about 260 kB) outgrows a pipe's buffer, so the
+    # write is still under way when the reader leaves.
+    path = tmp_path / "c14.txt"
+    path.write_text(cycle_graph(14).to_edge_list_text())
+    src = os.path.dirname(os.path.dirname(kappatools.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kappatools", "classes", str(path), "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert len(proc.stdout.read(600)) == 600
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @st.composite

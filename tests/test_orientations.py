@@ -22,7 +22,7 @@ from kappatools.orientations import (
     _acyclic_masks,
     _bit_tables,
     _click_class_masks,
-    _cut_moves,
+    _fundamental_cycles,
     _peels,
     acyclic_masks,
     apply_click_sequence,
@@ -33,6 +33,7 @@ from kappatools.orientations import (
     is_acyclic,
     kappa_partition_bruteforce,
     normalize_to_unique_source,
+    nu_bits,
     nu_path,
     orientation_from_permutation,
     topological_order,
@@ -41,6 +42,34 @@ from kappatools.orientations import (
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 P3 = path_graph(3)
+
+
+def grid_graph(rows, cols):
+    return Multigraph(rows * cols, tuple(
+        [(cols * r + c, cols * r + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(cols * r + c, cols * r + c + cols) for r in range(rows - 1) for c in range(cols)]
+    ))
+
+
+def theta_graph(*lengths):
+    """Paths of the given lengths between two poles, which get the two
+    highest labels; vertex 0 sits inside the first path, next to a pole."""
+    n = sum(lengths) - len(lengths) + 2
+    edges, nxt = [], 0
+    for length in lengths:
+        path = [n - 2] + list(range(nxt, nxt + length - 1)) + [n - 1]
+        nxt += length - 1
+        edges += zip(path, path[1:])
+    return Multigraph(n, tuple(edges))
+
+
+def seeded_multigraphs(rng, count, max_vertices, max_edges):
+    """Loop-free multigraphs with parallel edges, isolated vertices and
+    several components among them."""
+    for _ in range(count):
+        n = rng.randint(0, max_vertices)
+        m = rng.randint(0, max_edges) if n >= 2 else 0
+        yield Multigraph(n, tuple(tuple(rng.sample(range(n), 2)) for _ in range(m)))
 
 
 @st.composite
@@ -150,12 +179,8 @@ def scrambled(g, rng, last=None):
 
 
 def test_masks_match_peel_on_seeded_multigraphs():
-    rng = random.Random(20261018)
     seen = {"parallel": 0, "isolated": 0, "disconnected": 0}
-    for _ in range(420):
-        n = rng.randint(0, 7)
-        m = rng.randint(0, 11) if n >= 2 else 0
-        g = Multigraph(n, tuple(tuple(rng.sample(range(n), 2)) for _ in range(m)))
+    for g in seeded_multigraphs(random.Random(20261018), 420, 7, 11):
         check_against_peel(g)
         seen["parallel"] += len(set(g.edges)) < g.m
         seen["isolated"] += 0 in g.degrees
@@ -169,11 +194,7 @@ def test_masks_match_peel_on_scrambled_families():
         7, tuple([(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
     )
     prism = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
-    grid3 = Multigraph(9, tuple(
-        [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
-        + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
-    ))
-    for g in (complete_graph(5), wheel6, prism, grid3):
+    for g in (complete_graph(5), wheel6, prism, grid_graph(3, 3)):
         check_against_peel(g)
         for _ in range(3):
             check_against_peel(scrambled(g, rng))
@@ -446,13 +467,26 @@ def test_cut_equivalent_rejects_graph_mismatch():
 
 
 def test_cut_equivalent_pairs_never_cross_classes():
-    # Click and cut classes share one closure; the closure of the pairwise
-    # cut_equivalent test, a separate implementation, must give both.
+    # Click classes are a closure over clicks, cut classes a grouping by ν
+    # on fundamental cycles; the closure of the pairwise cut_equivalent
+    # test, a third and definitional route, must give both.
     two_triangles = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     k4_minus_edge = Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
-    for g in (cycle_graph(4), complete_graph(4), two_triangles, k4_minus_edge):
+    graphs = [cycle_graph(4), complete_graph(4), two_triangles, k4_minus_edge]
+    # θ(2,3,4) has a cycle whose tree paths meet below the root, so shared
+    # edges cancel.  Grid 3x3 (2.9 million pairs) is left to the cycle test.
+    graphs.append(theta_graph(4, 2, 3))
+    rng = random.Random(13)
+    graphs += seeded_multigraphs(rng, 60, 7, 9)
+    # Two seeded cycles side by side, a doubled edge and an isolated vertex.
+    for _ in range(10):
+        a, b = (scrambled(cycle_graph(rng.randint(3, 4)), rng) for _ in range(2))
+        shift = a.n_vertices
+        edges = a.edges + tuple((x + shift, y + shift) for x, y in b.edges)
+        graphs.append(Multigraph(shift + b.n_vertices + 1, edges + (rng.choice(edges),)))
+    for g in graphs:
         part = kappa_partition_bruteforce(g)
-        orients = enumerate_acyclic(g)
+        orients = enumerate_acyclic(part.graph)
         uf = UnionFind(len(orients))
         for i, o1 in enumerate(orients):
             for j in range(i + 1, len(orients)):
@@ -469,23 +503,50 @@ def test_cut_closure_matches_click_partition_on_samples():
         g = random_connected_graph(rng, max_edges=9, max_vertices=6)
         part = kappa_partition_bruteforce(g)
         assert cut_equivalence_classes(g) == part.classes
+    grid = grid_graph(3, 3)
+    assert cut_equivalence_classes(grid) == kappa_partition_bruteforce(grid).classes
 
 
-def test_every_cut_equivalent_pair_is_one_cut_move():
-    # The closure alone cannot see lost bipartitions, since the singleton
-    # cuts already give the classes; every pair must be a move of its own.
-    rng = random.Random(5)
-    graphs = [complete_graph(4), cycle_graph(5)]
-    graphs += [random_connected_graph(rng, max_edges=8, max_vertices=6) for _ in range(8)]
-    for g in graphs:
-        moves = set(_cut_moves(g))
-        orients = enumerate_acyclic(g)
-        for o1 in orients:
-            for o2 in orients:
-                if o1.bits == o2.bits or not cut_equivalent(o1, o2):
-                    continue
-                flip = o1.bits ^ o2.bits
-                assert (flip, o1.bits & flip) in moves or (flip, o2.bits & flip) in moves
+def closed_walk(s, up, down):
+    """The vertices of the one cycle that the edges up | down form, walked
+    the way the masks say; None when they form no single cycle."""
+    edges = [e for e in range(s.m) if (up | down) >> e & 1]
+    at = {}
+    for e in edges:
+        for x in s.edges[e]:
+            at.setdefault(x, []).append(e)
+    if not up or any(len(es) != 2 for es in at.values()):
+        return None
+    prev = (up & -up).bit_length() - 1
+    walk = list(s.edges[prev])  # an up edge runs from its smaller label
+    while True:
+        prev = next(e for e in at[walk[-1]] if e != prev)
+        x = sum(s.edges[prev]) - walk[-1]
+        if x == walk[0]:
+            return walk if len(walk) == len(edges) else None
+        walk.append(x)
+
+
+def test_fundamental_cycles_are_the_cycles_nu_reads():
+    rng = random.Random(17)
+    wheel6 = Multigraph(
+        7, tuple([(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
+    )
+    graphs = [grid_graph(3, 3), theta_graph(4, 2, 3), complete_graph(5), wheel6]
+    graphs += [scrambled(grid_graph(3, 3), rng) for _ in range(3)]
+    graphs += [g.simplify() for g in seeded_multigraphs(rng, 60, 7, 11)]
+    below_root = 0
+    for s in graphs:
+        cycles = _fundamental_cycles(s)
+        assert len(cycles) == s.m - s.n_vertices + len(s.connected_components())
+        for up, down in cycles:
+            walk = closed_walk(s, up, down)
+            assert walk is not None, (s, up, down)
+            below_root += 0 not in walk
+            spec = PathSpec(tuple(walk), closed=True)
+            for bits in acyclic_masks(s):
+                assert nu_bits(bits, up, down) == nu_path(Orientation(s, bits), spec)
+    assert below_root >= 10
 
 
 # ----- unique-source transversal -----
