@@ -12,6 +12,7 @@ cross-engine verification failure.  Only the brute-force commands take
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -320,7 +321,14 @@ def _default_cap():
         ) from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared afterwards.
+
+    Parsing leaves it unchanged: every call gets a fresh namespace, the
+    `--cap` default is read from the environment in `main`, and the
+    handlers look up the engines as module globals when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="kappatools",
         description="Count and dissect source-to-sink classes of acyclic orientations.",

@@ -83,7 +83,7 @@ class Multigraph:
     def loop_count(self):
         return sum(1 for a, b in self.edges if a == b)
 
-    @property
+    @cached_property
     def has_loops(self):
         return any(a == b for a, b in self.edges)
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kappatools
-from kappatools.cli import main
+from kappatools import cli
+from kappatools.cli import build_parser, main
 from kappatools.corpus import cycle_graph
 from kappatools.graphs import Multigraph
 
@@ -335,6 +336,46 @@ def test_cap_only_on_brute_force_commands_and_seed_only_on_verify(capsys, c5_fil
             main(argv)
         assert exc.value.code == 2, argv
     capsys.readouterr()
+
+
+def test_main_can_be_called_repeatedly_in_one_process(capsys, c5_file, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", c5_file])
+    assert exc.value.code == 2
+    code, _, _ = run_cli(capsys, "classes", c5_file, "--cap", "2")
+    assert code == 3
+    # the 2 of the last call does not leak into this one
+    code, out, _ = run_cli(capsys, "classes", c5_file)
+    assert code == 0
+    assert out.startswith("classes 4\n")
+    # the variable is read per call, not when the parser is built
+    monkeypatch.setenv("KAPPA_BRUTE_CAP", "2")
+    code, _, _ = run_cli(capsys, "classes", c5_file)
+    assert code == 3
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: kappatools")
+    assert build_parser() is build_parser()
+
+
+def test_handlers_look_up_engines_when_they_run(capsys, c5_file, monkeypatch):
+    assert run_cli(capsys, "kappa", c5_file)[0] == 0
+    calls = []
+    engine = cli.kappa
+
+    def counting_kappa(g):
+        calls.append(g.m)
+        return engine(g)
+
+    monkeypatch.setattr(cli, "kappa", counting_kappa)
+    code, out, _ = run_cli(capsys, "kappa", c5_file)
+    assert (code, out) == (0, "4\n")
+    assert calls == [5]
 
 
 def test_non_utf8_file_is_exit_2(capsys, tmp_path):
