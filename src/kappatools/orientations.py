@@ -4,9 +4,9 @@ An orientation is one bit per edge-id: bit 0 directs the edge from its
 smaller endpoint label to the larger, bit 1 the reverse.  Everything here
 works by exhaustive enumeration over bitmasks and is the ground truth the
 fast engines are tested against.  The acyclic masks are generated, not
-filtered: a depth-first search places the vertices in label order and
-lets each new vertex point only to placed neighbours that reach none of
-the ones pointing into it, so the work follows the number of acyclic
+filtered: a depth-first search orients one edge at a time, and an edge
+whose one direction would close a cycle is forced the other way.  One
+direction is always open, so the work follows the number of acyclic
 masks rather than 2^m (`_acyclic_masks`).  `_peels`, which peels sources
 off one mask, is the check for a single mask and the oracle the search is
 tested against.  All entry points reject loops, which
@@ -79,122 +79,51 @@ def _check_cap(g, cap):
         raise CapExceededError("graph", g.m, cap)
 
 
-def _placement_steps(g):
-    """The steps of the mask search, one per vertex with an earlier neighbour.
-
-    Vertices with an edge get dense positions in label order.  A step is
-    (v, earlier, nmask, edges_at, keep): v's position; its earlier
-    neighbours as (position, bit, edge bits), parallel edges merged; their
-    position bits; the same edge bits keyed by position bit; and the
-    positions before v with a neighbour after v, whose reach is still read.
-    """
-    placed = sorted({x for edge in g.edges for x in edge})
-    pos = {x: i for i, x in enumerate(placed)}
-    edges_at = [{} for _ in placed]
-    latest = list(range(len(placed)))
-    for eid, (a, b) in enumerate(g.edges):
-        a, b = pos[a], pos[b]
-        edges_at[b][1 << a] = edges_at[b].get(1 << a, 0) | 1 << eid
-        latest[a] = max(latest[a], b)
-    steps = []
-    for v, at in enumerate(edges_at):
-        if at:
-            earlier = tuple((ubit.bit_length() - 1, ubit, e) for ubit, e in at.items())
-            keep = tuple(x for x in range(v) if latest[x] > v)
-            steps.append((v, earlier, sum(at), at, keep))  # distinct bits: sum is union
-    return len(placed), steps
-
-
-def _sinks_first(step, reach):
-    """v's earlier neighbours as (bit, reach, edge bits, needed edge bits).
-
-    A neighbour may point out of v only if every earlier neighbour it
-    reaches does too; the needed edge bits are those neighbours' edges.
-    Sorting by how many earlier neighbours each reaches puts the reached
-    ones first.
-    """
-    _, earlier, nmask, edges_at, _ = step
-    seq = []
-    for u, ubit, ebits in earlier:
-        below = reach[u] & nmask ^ ubit
-        need = 0
-        while below:
-            low = below & -below
-            need |= edges_at[low]
-            below ^= low
-        seq.append((ubit, reach[u], ebits, need))
-    seq.sort(key=lambda t: (t[1] & nmask).bit_count())
-    return seq
-
-
-def _closed_sets(seq, k, reach_v, in_set, bits):
-    """Every out-set of seq[k:] closed under reachability, lazily: the
-    reach of v, the in-neighbour bits and the mask each one gives."""
-    if k == len(seq):
-        yield reach_v, in_set, bits
-        return
-    yield from _closed_sets(seq, k + 1, reach_v, in_set, bits)
-    ubit, reach_u, ebits, need = seq[k]
-    if bits & need == need:
-        yield from _closed_sets(seq, k + 1, reach_v | reach_u, in_set ^ ubit, bits | ebits)
-
-
-def _extend(steps, i, bits, reach, masks):
-    """Append to masks every acyclic completion of `bits` from step i on.
-
-    reach[x] is the position bitset x reaches, kept exact for every
-    position that a later step reads.
-    """
-    v, _, nmask, _, keep = steps[i]
-    seq = _sinks_first(steps[i], reach)
-    if i + 1 == len(steps):
-        # Nothing reads reach after the last step, so its out-sets go
-        # straight into masks: each neighbour in turn joins every mask so
-        # far whose needed edges already point out.  Indexing, not a
-        # slice, keeps no second copy of a run that can hold 2^m masks.
-        start = len(masks)
-        masks.append(bits)
-        for _, _, ebits, need in seq:
-            end = len(masks)
-            masks.extend(masks[j] | ebits for j in range(start, end) if masks[j] & need == need)
-        return
-    for reach_v, in_set, out_bits in _closed_sets(seq, 0, 1 << v, nmask, bits):
-        nxt = reach.copy()
-        nxt[v] = reach_v
-        if in_set:
-            for x in keep:
-                if reach[x] & in_set:
-                    nxt[x] = reach[x] | reach_v
-        _extend(steps, i + 1, out_bits, nxt, masks)
-
-
 @lru_cache(maxsize=8)
 def _acyclic_masks(g):
     """The acyclic masks of g, ascending, generated without trying the rest.
 
-    Vertices are placed one at a time in label order.  A new vertex v
-    picks which of its placed neighbours it points to (its out-set); the
-    others point into v, and parallel edges to one neighbour move
-    together.  This closes a cycle exactly when an out-neighbour already
-    reaches an in-neighbour, so the valid out-sets are the sets of earlier
-    neighbours closed under reachability.  They are walked depth first and
-    lazily, never tabled; reachability is one position bitset per placed
-    vertex, updated as v is added.  The empty out-set (v a sink) is always
-    valid, so every branch ends in a mask and the work follows the number
-    of masks, not 2^m.  A vertex with no earlier neighbour has one choice
-    and is not a step, so the recursion is at most m deep.  `_peels` stays
-    the check for a single mask and the oracle this is tested against.
-    Every caller rejects loops first.
+    The edges are oriented one at a time, highest id first, depth first.
+    Vertices with an edge get dense positions, and reach[x] is the bitset
+    of positions that x reaches under the edges oriented so far.  An edge
+    {a, b} is forced b->a (bit 1) when b already reaches a, and a->b
+    (bit 0) when a reaches b; both cannot hold in an acyclic partial
+    orientation, so at least one direction is always open, every branch
+    ends in a mask, and the work follows the number of masks, not 2^m.
+    Forced edges are taken in a loop, so only a free edge costs a frame.
+    A free edge adds a pair to the reach order, so a branch has at most
+    n(n-1)/2 of them, while a graph with n vertices and c components has
+    at least 2^(n-c) masks: the depth stays small on any graph the search
+    can finish.  The bit-1 branch goes first, so the masks come out
+    descending.  `_peels` stays the check for a single mask and the
+    oracle this is tested against.  Every caller rejects loops first.
     """
-    size, steps = _placement_steps(g)
-    if not steps:
-        return (0,)
+    placed = sorted({x for edge in g.edges for x in edge})
+    pos = {x: i for i, x in enumerate(placed)}
+    ends = [(pos[a], pos[b]) for a, b in g.edges]
     masks = []
-    _extend(steps, 0, 0, [1 << x for x in range(size)], masks)
+
+    def walk(e, bits, reach):
+        while e:
+            e -= 1
+            a, b = ends[e]
+            abit, bbit = 1 << a, 1 << b
+            if reach[b] & abit:
+                bits |= 1 << e
+            elif not reach[a] & bbit:
+                if not e:  # the last edge: no reach is read after it
+                    masks.append(bits | 1)
+                    break
+                head = reach[a]
+                walk(e, bits | 1 << e, [r | head if r & bbit else r for r in reach])
+                head = reach[b]
+                reach = [r | head if r & abit else r for r in reach]
+        masks.append(bits)
+
+    walk(g.m, 0, [1 << x for x in range(len(placed))])
     # Pop the descending list into the growing tuple: the list shrinks as
-    # the tuple grows, where tuple(sorted list) would hold two full arrays
-    # of pointers at once.
-    masks.sort(reverse=True)
+    # the tuple grows, where tuple(reversed list) would hold two full
+    # arrays of pointers at once.
     return tuple(map(list.pop, repeat(masks, len(masks))))
 
 

@@ -1,11 +1,13 @@
 """Orientation enumeration, clicks, class structure, paths, cuts."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappatools.cli import main
 from kappatools.corpus import (
     complete_graph,
     cycle_graph,
@@ -198,14 +200,39 @@ def test_masks_match_peel_on_scrambled_families():
         check_against_peel(g)
         for _ in range(3):
             check_against_peel(scrambled(g, rng))
-    # The hub, of degree 6, placed last: its out-set ranges over all six rim vertices.
+    # The hub, of degree 6, with the highest label: it is the larger end of
+    # all six spokes, so bit 1 points every spoke out of it.
     check_against_peel(scrambled(wheel6, rng, last=0))
 
 
-def test_masks_skip_vertices_without_earlier_neighbours():
-    """One edge after 5,000 isolated vertices: one step, not 5,000 frames."""
-    g = Multigraph(5002, ((5000, 5001),))
-    assert acyclic_masks(g) == (0, 1)
+def test_masks_index_reach_by_position_not_label():
+    """Reach holds one bitset per vertex with an edge, not per label: one
+    edge between labels 0 and 19,999 costs two bitsets.  Bitsets indexed
+    by label would take about 25 MB here."""
+    assert acyclic_masks(Multigraph(5002, ((5000, 5001),))) == (0, 1)
+    g = Multigraph(20_000, ((0, 19_999),))
+    tracemalloc.start()
+    try:
+        assert _acyclic_masks.__wrapped__(g) == (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_masks_on_many_parallel_edges_take_no_frame_per_edge():
+    """Once one of 3,000 parallel edges is oriented, the rest are forced;
+    forced edges take no recursion frame."""
+    g = Multigraph(2, ((0, 1),) * 3000)
+    assert acyclic_masks(g, cap=3000) == (0, (1 << 3000) - 1)
+
+
+def test_transversal_on_many_parallel_edges(capsys, tmp_path):
+    path = tmp_path / "parallel.txt"
+    path.write_text("2 3000\n" + "0 1\n" * 3000)
+    code = main(["transversal", str(path), "--vertex", "0", "--cap", "5000"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count 1"
 
 
 @pytest.mark.parametrize("centre", [0, 14])
