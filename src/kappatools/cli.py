@@ -27,6 +27,7 @@ from .kappa import kappa, kappa_with_trace
 from .orientations import (
     DEFAULT_BRUTE_FORCE_CAP,
     PathSpec,
+    _click_class_masks,
     acyclic_masks,
     cut_equivalence_classes,
     enumerate_acyclic,
@@ -209,8 +210,10 @@ def _verify_graph(g, cap):
     k_tutte = poly.evaluate(1, 0)
     alpha_brute = sum(len(cls) for cls in part.classes)
     alpha_tutte = poly.evaluate(2, 0)
+    # The partition and the cut classes share one ν grouping; the closure
+    # of the click graph is the independent algorithm they must match.
     cut_classes = cut_equivalence_classes(g, cap)
-    cut_ok = cut_classes == part.classes
+    cut_ok = cut_classes == part.classes == _click_class_masks(part.graph, cap)
 
     connected = g.is_connected
     transversal_ok = True

@@ -16,14 +16,18 @@ forced and nothing is lost).
 
 Pretzel (Order 1986) shows that the click classes, the cut-equivalence
 classes and the classes of ν on cycles agree; ν is additive over the cycle
-space, so the fundamental cycles decide it.  Two algorithms get the classes:
-`_click_class_masks` closes the click graph, and `cut_equivalence_classes`
-groups the masks by ν on fundamental cycles.
+space, so the fundamental cycles decide it.  Two algorithms get the classes.
+`_nu_classes` groups the masks by a packed key of ν on the fundamental
+cycles; it serves both `kappa_partition_bruteforce` (and through it the
+`classes`, `nu` and `collapse` commands) and `cut_equivalence_classes`.
+`_click_class_masks` closes the click graph; it is `verify`'s second,
+independent leg and the test oracle for the grouping.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -261,7 +265,9 @@ def _click_class_masks(g, cap):
 
     A click reverses every edge at a source, so it keeps the mask acyclic.
     g may have parallel edges (forced co-directed); the caller decides
-    whether to simplify first.  Classes and masks come out ascending.
+    whether to simplify first.  Classes and masks come out ascending.  No
+    library call uses it: it is `verify`'s check on `_nu_classes`, which
+    shares no step with it past the masks, and the tests' oracle.
     """
     _require_loop_free(g)
     _check_cap(g, cap)
@@ -280,11 +286,55 @@ def _click_class_masks(g, cap):
     return tuple(tuple(masks[i] for i in block) for block in uf.groups())
 
 
+def _nu_classes(s):
+    """The acyclic masks of the simple graph s grouped by ν on its
+    fundamental cycles.  The masks come ascending and a class is placed
+    at its first mask, so the classes come out ascending too.
+
+    On a cycle with masks (up, down), g(bits) = |bits & down| - |bits & up|
+    fixes ν = 2(|up| + g) - |up | down|, and g + |up| lies in 0..|up | down|.
+    So cycle i gets a digit of |up | down|.bit_length() bits at `shift`, and
+    an edge weighs +1 at the digit of each cycle it walks down and -1 at
+    each it walks up.  A mask's key, the sum of its edges' weights, is then
+    Σ g_i << shift_i; each g_i + |up_i| fits its digit, so equal keys mean
+    equal ν on every fundamental cycle.  The key is linear in the bits, so
+    a table per 11-bit chunk of the mask holds the key of every chunk
+    value, and a mask costs one lookup and one addition per chunk.
+    """
+    weights = [0] * s.m
+    shift = 0
+    for up, down in _fundamental_cycles(s):
+        for e in range(s.m):
+            if down >> e & 1:
+                weights[e] += 1 << shift
+            elif up >> e & 1:
+                weights[e] -= 1 << shift
+        shift += (up | down).bit_count().bit_length()
+    tables = []
+    for low in range(0, s.m, 11):
+        table = [0]
+        for weight in weights[low:low + 11]:
+            table += [key + weight for key in table]
+        tables.append((low, table))
+    classes = defaultdict(list)
+    for bits in _acyclic_masks(s):
+        key = 0
+        for low, table in tables:
+            key += table[bits >> low & 0x7FF]
+        classes[key].append(bits)
+    return tuple(map(tuple, classes.values()))
+
+
 def kappa_partition_bruteforce(g, cap=None):
-    """Click-equivalence classes of simplify(g), by exhaustive enumeration."""
+    """Click-equivalence classes of simplify(g), by exhaustive enumeration.
+
+    The masks are grouped by ν on fundamental cycles (`_nu_classes`), which
+    gives the click classes (Pretzel, Order 1986) without trying a click.
+    """
     _require_loop_free(g)
     s = g.simplify()
-    return KappaPartition(s, _click_class_masks(s, cap))
+    _check_cap(s, cap)
+    return KappaPartition(s, _nu_classes(s))
 
 
 def cut_equivalence_classes(g, cap=None):
@@ -292,18 +342,14 @@ def cut_equivalence_classes(g, cap=None):
 
     Pretzel (Order 1986): the classes are those of ν on cycles, and ν is
     additive over the cycle space, so the masks are grouped by ν on the
-    fundamental cycles.  The masks come ascending, so the classes come out
-    in the sorted shape that KappaPartition.classes holds.
+    fundamental cycles (`_nu_classes`, the grouping behind
+    `kappa_partition_bruteforce` too).  The classes come out in the sorted
+    shape that KappaPartition.classes holds.
     """
     _require_loop_free(g)
     s = g.simplify()
     _check_cap(s, cap)
-    cycles = _fundamental_cycles(s)
-    classes = {}
-    for bits in _acyclic_masks(s):
-        key = tuple(nu_bits(bits, up, down) for up, down in cycles)
-        classes.setdefault(key, []).append(bits)
-    return tuple(map(tuple, classes.values()))
+    return _nu_classes(s)
 
 
 def _fundamental_cycles(s):

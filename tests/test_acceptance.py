@@ -21,6 +21,7 @@ from kappatools.kappa import kappa
 from kappatools.orientations import (
     Orientation,
     PathSpec,
+    _click_class_masks,
     cut_equivalence_classes,
     kappa_partition_bruteforce,
     normalize_to_unique_source,
@@ -156,7 +157,8 @@ def test_c05_collapse_structure(small_collapses, small_partitions):
 def test_c06_cut_equivalence_matches_click_classes(small_corpus, small_partitions):
     failures = []
     for g in small_corpus:
-        if cut_equivalence_classes(g) != small_partitions[g].classes:
+        clicks = _click_class_masks(g.simplify(), None)
+        if cut_equivalence_classes(g) != clicks or small_partitions[g].classes != clicks:
             failures.append(g)
     ok = not failures
     _report(6, "cut-equivalence closure equals click classes", ok)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kappatools
-from kappatools import cli
+from kappatools import cli, orientations
 from kappatools.cli import build_parser, main
 from kappatools.corpus import cycle_graph
 from kappatools.graphs import Multigraph
@@ -169,6 +169,24 @@ def test_verify_single_graph(capsys, c5_file):
     code, out, _ = run_cli(capsys, "verify", c5_file)
     assert code == 0
     assert out.splitlines()[-1] == "graphs 1 failures 0"
+
+
+def test_verify_catches_a_class_key_that_merges_classes(capsys, monkeypatch, tmp_path):
+    # The partition and the cut classes share one ν grouping, so a broken
+    # key breaks both alike; the click closure is the leg that tells.
+    grouped = orientations._nu_classes
+
+    def merged(s):
+        first, second, *rest = grouped(s)
+        return (tuple(sorted(first + second)), *rest)
+
+    monkeypatch.setattr(orientations, "_nu_classes", merged)
+    path = tmp_path / "k4.txt"
+    path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+    assert code == 4
+    checks = json.loads(out)["graphs"][0]["checks"]
+    assert checks["cut_equivalence"] == {"ok": False}
 
 
 def test_verify_ignores_isolated_vertices(capsys, tmp_path):

@@ -494,9 +494,10 @@ def test_cut_equivalent_rejects_graph_mismatch():
 
 
 def test_cut_equivalent_pairs_never_cross_classes():
-    # Click classes are a closure over clicks, cut classes a grouping by ν
-    # on fundamental cycles; the closure of the pairwise cut_equivalent
-    # test, a third and definitional route, must give both.
+    # Click classes are a closure over clicks, while the partition and the
+    # cut classes share one grouping by ν on fundamental cycles; the
+    # closure of the pairwise cut_equivalent test, a third and
+    # definitional route, must give both.
     two_triangles = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     k4_minus_edge = Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
     graphs = [cycle_graph(4), complete_graph(4), two_triangles, k4_minus_edge]
@@ -512,26 +513,88 @@ def test_cut_equivalent_pairs_never_cross_classes():
         edges = a.edges + tuple((x + shift, y + shift) for x, y in b.edges)
         graphs.append(Multigraph(shift + b.n_vertices + 1, edges + (rng.choice(edges),)))
     for g in graphs:
-        part = kappa_partition_bruteforce(g)
-        orients = enumerate_acyclic(part.graph)
+        s = g.simplify()
+        clicks = _click_class_masks(s, None)
+        click_class = {bits: i for i, cls in enumerate(clicks) for bits in cls}
+        orients = enumerate_acyclic(s)
         uf = UnionFind(len(orients))
         for i, o1 in enumerate(orients):
             for j in range(i + 1, len(orients)):
                 if cut_equivalent(o1, orients[j]):
-                    assert part.class_of(o1) == part.class_of(orients[j])
+                    assert click_class[o1.bits] == click_class[orients[j].bits]
                     uf.union(i, j)
         closure = tuple(tuple(orients[i].bits for i in block) for block in uf.groups())
-        assert closure == cut_equivalence_classes(g) == part.classes
+        assert closure == clicks == cut_equivalence_classes(g)
+        assert kappa_partition_bruteforce(g).classes == clicks
 
 
 def test_cut_closure_matches_click_partition_on_samples():
     rng = random.Random(31)
-    for _ in range(20):
-        g = random_connected_graph(rng, max_edges=9, max_vertices=6)
-        part = kappa_partition_bruteforce(g)
-        assert cut_equivalence_classes(g) == part.classes
-    grid = grid_graph(3, 3)
-    assert cut_equivalence_classes(grid) == kappa_partition_bruteforce(grid).classes
+    graphs = [random_connected_graph(rng, max_edges=9, max_vertices=6) for _ in range(20)]
+    for g in graphs + [grid_graph(3, 3)]:
+        clicks = _click_class_masks(g.simplify(), None)
+        assert cut_equivalence_classes(g) == kappa_partition_bruteforce(g).classes == clicks
+
+
+def nu_tuple_classes(g):
+    """simplify(g)'s acyclic masks grouped by the tuple of `nu_bits` over
+    its fundamental cycles, one call per cycle and mask: the plain key the
+    packed one must agree with."""
+    s = g.simplify()
+    cycles = _fundamental_cycles(s)
+    classes = {}
+    for bits in _acyclic_masks(s):
+        key = tuple(nu_bits(bits, up, down) for up, down in cycles)
+        classes.setdefault(key, []).append(bits)
+    return tuple(map(tuple, classes.values()))
+
+
+def assert_packed_key_matches(g, cap=None):
+    expected = nu_tuple_classes(g)
+    assert kappa_partition_bruteforce(g, cap).classes == expected
+    assert cut_equivalence_classes(g, cap) == expected
+    return expected
+
+
+def test_packed_key_without_edges():
+    assert assert_packed_key_matches(Multigraph(4, ())) == ((0,),)
+    assert assert_packed_key_matches(Multigraph(0, ())) == ((0,),)
+
+
+def test_packed_key_on_a_forest_gives_one_class():
+    forest = Multigraph(9, ((0, 1), (1, 2), (1, 3), (5, 4), (6, 7), (8, 6)))
+    assert assert_packed_key_matches(forest) == (tuple(range(64)),)
+
+
+def test_packed_key_on_doubled_edges():
+    # a doubled edge on a triangle and on a square, next to a doubled
+    # bridge: the parallels are folded before the key is read
+    edges = ((0, 1), (1, 2), (0, 2), (1, 0), (3, 4), (4, 5), (5, 6), (6, 3),
+             (5, 4), (2, 3), (3, 2))
+    g = Multigraph(7, edges)
+    expected = assert_packed_key_matches(g)
+    assert expected == _click_class_masks(g.simplify(), None)
+    assert len(expected) == 2 * 3
+
+
+@pytest.mark.parametrize("lengths", [(1, 2, 2), (2, 1, 2), (3, 4, 5), (5, 4, 3), (1, 6, 7)])
+def test_packed_key_at_a_digit_width_boundary(lengths):
+    # cycles of 2^k - 1 and 2^k edges (3 and 4, 7 and 8) get digits of
+    # k and k + 1 bits; a digit one bit short would merge classes
+    g = theta_graph(*lengths)
+    s = g.simplify()
+    cycle_lengths = {(up | down).bit_count() for up, down in _fundamental_cycles(s)}
+    assert cycle_lengths & {3, 7} and cycle_lengths & {4, 8}
+    expected = assert_packed_key_matches(g)
+    assert expected == _click_class_masks(s, None)
+
+
+def test_packed_key_across_three_chunks():
+    # m = 28 needs three 11-bit tables; κ(K8) = 7! classes over 8! masks
+    k8 = complete_graph(8)
+    classes = assert_packed_key_matches(k8, cap=28)
+    assert len(classes) == 5040
+    assert sum(map(len, classes)) == 40320
 
 
 def closed_walk(s, up, down):
