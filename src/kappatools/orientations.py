@@ -305,10 +305,7 @@ def _nu_classes(s):
     shift = 0
     for up, down in _fundamental_cycles(s):
         for e in range(s.m):
-            if down >> e & 1:
-                weights[e] += 1 << shift
-            elif up >> e & 1:
-                weights[e] -= 1 << shift
+            weights[e] += ((down >> e & 1) - (up >> e & 1)) << shift
         shift += (up | down).bit_count().bit_length()
     tables = []
     for low in range(0, s.m, 11):
