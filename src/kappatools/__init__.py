@@ -2,8 +2,9 @@
 
 Three routes to the same number: brute-force click-class enumeration
 (`orientations`), the y=0 engine (`kappa`: a frontier sum on sparse
-pieces, deletion/contraction on dense ones), and Tutte polynomial
-evaluation at (1, 0) (`tutte`, built by the same frontier walk).  The
+pieces, a subset DP over independent sets on dense ones), and Tutte
+polynomial evaluation at (1, 0) (`tutte`, built by the same frontier
+walk).  The
 `collapse` module materializes how classes merge when a cycle-edge is
 deleted, and `cli` wires everything into a batch tool.  `kappatools.kappa`
 is the function; `importlib.import_module("kappatools.kappa")` the module.

@@ -282,12 +282,13 @@ def bfs_order(g):
 
 
 def memo_key(g):
-    """Deterministic serialization used as a recursion memo key.
+    """Deterministic serialization that names the nodes of the trace
+    recursion (`kappa.kappa_with_trace`).
 
     Vertices are relabeled by `bfs_order` and the edge multiset is
     serialized sorted.  The key is stable for equal-shaped inputs met
-    along a recursion but is NOT an isomorphism-canonical form; correctness
-    of the engines never depends on it, only cache hit rate does.
+    along a recursion but is NOT an isomorphism-canonical form; no engine
+    value depends on it.
     """
     relabel = {old: new for new, old in enumerate(bfs_order(g))}
     pairs = sorted(

@@ -7,25 +7,34 @@ prunings come first: parallel edges collapse, each bridge contributes a
 factor x, and disjoint pieces multiply.  A piece that is a cycle C_m is
 answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
 sparse piece, one with fewer than DENSE_SHARE of all vertex pairs as
-edges, is answered by `frontier_sum`.  A dense piece is split by
-deletion/contraction (the value after deleting a cycle-edge plus the
-value after contracting it), memoized on a normalized graph key, which
-hits often on dense pieces and seldom on sparse ones.
+edges, is answered by `frontier_sum`; a dense one by
+`_partition_counts`.
 
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
 ISAAC 1995).  `tutte._subset_counts` runs the same walk with other
 weights to build the full polynomial.
 
-`kappa_with_trace` runs a separate recursion, `_trace`: the same
-deletion/contraction at x = 1, unmemoized, without the cycle rule and
-without the frontier sum, so its tree is the complete unfolded recursion.
+`_partition_counts` works on vertices instead: p_k, the number of
+partitions of the n vertices into k independent sets, gives the chromatic
+polynomial sum_k p_k L(L-1)...(L-k+1), and with Tutte's
+chi(L) = (-1)^(n-1) L T(1-L, 0) for a connected graph,
+T(x, 0) = (-1)^(n-1) sum_k p_k prod_{i=1..k-1} (1 - x - i)
+(Greene and Zaslavsky, Trans. AMS 1983).  The p_k come from a memoized
+DP over vertex subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput.
+2009); a dense piece has few independent sets, so the DP reaches few
+subsets.
+
+`kappa_with_trace` runs a separate recursion, `_trace`: the paper's
+deletion/contraction at x = 1, unmemoized, without the cycle rule, the
+frontier sum or the subset DP, so its tree is the complete unfolded
+recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import factorial, prod
 from operator import mul
 
 from .errors import CapExceededError, GraphInputError
@@ -33,13 +42,15 @@ from .graphs import bfs_order, memo_key
 
 TRACE_LEAF_CAP = 10_000
 
-# Pieces with at least this share of all vertex pairs as edges are split by
-# deletion/contraction; sparser ones go to the frontier sum.
-DENSE_SHARE = 0.75
+# Pieces with at least this share of all vertex pairs as edges go to the
+# subset DP; sparser ones to the frontier sum.
+DENSE_SHARE = 0.5
 
 
 @dataclass
 class CacheStats:
+    """Hits and misses in the subset DP's tables."""
+
     hits: int = 0
     misses: int = 0
 
@@ -160,13 +171,65 @@ def _retire(states, j, close, scale):
     return out
 
 
+def _partition_counts(c, stats):
+    """[p_0, ..., p_n] for a simple graph c on n vertices: p_k counts the
+    partitions of its vertices into k independent sets.
+
+    P(S) = sum_k p_k(S) z^k, the counts for the subgraph induced on S, is
+    the sum of z * P(S - I) over the independent sets I of S that hold its
+    first vertex, with P({}) = 1.  The vertices are taken by falling degree, so
+    that the first vertex of S has few non-neighbours to branch on.  P(S)
+    is packed into one integer, p_k in the bits from k * width up; no
+    count exceeds the Bell number of n, which is at most n!, so the slots
+    never carry.  Each subset is computed once; `stats` counts the lookups
+    that found it already computed as hits and the others as misses.
+    """
+    n = c.n_vertices
+    degree = c.degrees
+    bit = [0] * n
+    for i, v in enumerate(sorted(range(n), key=lambda v: -degree[v])):
+        bit[v] = 1 << i
+    adjacent = dict.fromkeys(bit, 0)
+    for a, b in c.edges:
+        adjacent[bit[a]] |= bit[b]
+        adjacent[bit[b]] |= bit[a]
+    width = factorial(n).bit_length()
+    table = {}
+
+    def count(s):
+        packed = table.get(s)
+        if packed is not None:
+            stats.hits += 1
+            return packed
+        stats.misses += 1
+        first = s & -s
+        rest = s ^ first
+        total = 0
+        # each independent I of s holding `first`, as the set s - I it leaves
+        stack = [(rest, rest & ~adjacent[first])]
+        while stack:
+            left, free = stack.pop()
+            if free:
+                u = free & -free
+                free ^= u
+                stack.append((left, free))
+                stack.append((left ^ u, free & ~adjacent[u]))
+            else:
+                total += count(left) if left else 1
+        packed = table[s] = total << width
+        return packed
+
+    packed = count((1 << n) - 1)
+    mask = (1 << width) - 1
+    return [(packed >> k * width) & mask for k in range(n + 1)]
+
+
 class _Engine:
     """T(g; x, 0) for one x: pruning, closed-form cycles, the frontier sum
-    on sparse pieces and memoized deletion/contraction on dense ones."""
+    on sparse pieces and the subset DP on dense ones."""
 
     def __init__(self, x):
         self.x = x
-        self.memo = {}
         self.stats = CacheStats()
 
     def solve(self, g):
@@ -186,16 +249,13 @@ class _Engine:
         if 2 * c.m < DENSE_SHARE * n * (n - 1):
             # T(c; x, 0) = (-1)^(n+1) sum over A of (-1)^|A| (1-x)^(c(A)-1)
             value = frontier_sum(c, -1, 1 - self.x)
-            return value if n % 2 else -value
-        key = memo_key(c)
-        if key in self.memo:
-            self.stats.hits += 1
-            return self.memo[key]
-        self.stats.misses += 1
-        eid = _least_edge(c)
-        value = self.solve(c.delete_edge(eid)) + self.solve(c.contract_edge(eid))
-        self.memo[key] = value
-        return value
+        else:
+            # T(c; x, 0) = (-1)^(n+1) sum over k of p_k prod_{i<k} (1-x-i)
+            value, weight = 0, 1
+            for k, count in enumerate(_partition_counts(c, self.stats)[1:], 1):
+                value += count * weight
+                weight *= 1 - self.x - k
+        return value if n % 2 else -value
 
 
 def _trace(g):
@@ -228,11 +288,10 @@ def kappa(g):
     """Number of click-equivalence classes of acyclic orientations of g.
 
     Parallel edges are fine (they collapse); loops are rejected.  Dense
-    pieces are split on their lexicographically least cycle-edge and
-    memoized into a fresh cache per call; its hits and misses are returned
-    as `cache_stats`.  Cycle pieces (closed form) and sparse pieces (the
-    frontier sum) never reach the cache, so they count as neither hits
-    nor misses.
+    pieces go to the subset DP, with a fresh table per piece and call; the
+    hits and misses of those tables are returned as `cache_stats`.  Cycle
+    pieces (closed form) and sparse pieces (the frontier sum) never reach
+    a table, so they count as neither hits nor misses.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")
@@ -244,12 +303,12 @@ def kappa(g):
 def kappa_with_trace(g):
     """Like kappa, but with the full recursion tree attached.
 
-    The tree comes from a separate recursion that has no memo and no
-    closed-form cycle rule, so it is the complete unfolded recursion and
-    its `cache_stats` stay zero.  Every leaf is a base case worth 1 and
-    every product factor is at least 2, so the tree has at most kappa
-    leaves; kappa(g) is computed first, and a value above TRACE_LEAF_CAP
-    raises CapExceededError instead of building the tree.
+    The tree comes from a separate recursion that has no memo, no subset
+    DP and no closed-form cycle rule, so it is the complete unfolded
+    recursion and its `cache_stats` stay zero.  Every leaf is a base case
+    worth 1 and every product factor is at least 2, so the tree has at
+    most kappa leaves; kappa(g) is computed first, and a value above
+    TRACE_LEAF_CAP raises CapExceededError instead of building the tree.
     """
     value = kappa(g).value
     if value > TRACE_LEAF_CAP:

@@ -10,10 +10,10 @@ number of subsets per (corank, |A|), packed into one integer.  The work
 grows with the number of frontier partitions, not with 2^m.  Evaluations
 at y=0 do not build the polynomial: they run the one y=0 engine of
 `kappatools.kappa`, which answers sparse pieces with the same frontier
-walk and splits dense ones by deletion/contraction.  So this polynomial
-and that engine share code, and the checks independent of both are brute
-force (`orientations`), the subset-expansion oracle below and the closed
-forms of the tests.
+walk and dense ones by a DP over vertex subsets that counts partitions
+into independent sets.  So this polynomial and that engine share code,
+and the checks independent of both are brute force (`orientations`), the
+subset-expansion oracle below and the closed forms of the tests.
 """
 
 from __future__ import annotations
@@ -153,10 +153,10 @@ def _from_corank_nullity(counts, loops=0):
 def tutte_eval(g, x, y, cap=None):
     """Evaluate the Tutte polynomial of g at an integer point (x, y).
 
-    At y=0 the engine of `kappatools.kappa` runs with a fresh memo: a loop
-    makes the value 0, parallel classes collapse, bridges factor out as
-    powers of x, cycles are summed in closed form, sparse pieces go to the
-    frontier sum and dense ones to deletion/contraction.  Other points
+    At y=0 the engine of `kappatools.kappa` runs: a loop makes the value
+    0, parallel classes collapse, bridges factor out as powers of x,
+    cycles are summed in closed form, sparse pieces go to the frontier sum
+    and dense ones to the subset DP.  Other points
     evaluate the full polynomial of the frontier sum.
     """
     if not isinstance(x, int) or not isinstance(y, int):
@@ -174,7 +174,8 @@ def tutte_oracle_rank_nullity(g, cap=None):
 
     Sums (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) over every edge subset A, with
     r(A) = n - components(A).  Exponential and deliberately unrelated to
-    the frontier walk and the deletion/contraction recursion.
+    the frontier walk, the subset DP and the deletion/contraction
+    recursion.
     """
     cap = DEFAULT_ORACLE_CAP if cap is None else cap
     if g.m > cap:

@@ -1,9 +1,10 @@
 """kappa on graph families with closed forms: an oracle that shares no code
 with the engines.
 
-The y=0 engine and the Tutte polynomial share the frontier walk, and
-brute force stops at 20 edges.  These closed forms check both well past
-that, on graphs built here from plain edge lists.
+The y=0 engine and the Tutte polynomial share the frontier walk, the
+engine answers dense pieces by a subset DP, and brute force stops at 20
+edges.  These closed forms check both well past that, on graphs built
+here from plain edge lists.
 
 Wheel and fan.  W_k is a hub joined to every vertex of a k-cycle, and
 fan_k is a hub joined to every vertex of a k-vertex path.  Deleting one
@@ -29,7 +30,7 @@ from math import factorial
 import pytest
 
 from kappatools.graphs import Multigraph
-from kappatools.kappa import kappa
+from kappatools.kappa import CacheStats, _partition_counts, kappa
 from kappatools.orientations import acyclic_masks, kappa_partition_bruteforce
 from kappatools.tutte import DEFAULT_TUTTE_CAP, tutte_eval
 
@@ -86,8 +87,17 @@ def check(g, expected, name):
 
 
 def test_complete_graphs():
-    for n in range(1, 13):
+    for n in range(1, 21):
         check(complete(n), factorial(n - 1), f"K{n}")
+
+
+def test_complete_graphs_split_only_into_singletons():
+    # K_n has one partition into independent sets, the one into n
+    # singletons, so the subset DP gives p_n = 1 and every other p_k = 0.
+    for n in range(1, 21):
+        g = complete(n)
+        assert _partition_counts(g, CacheStats()) == [0] * n + [1], f"K{n}"
+        assert tutte_eval(g, 2, 0, cap=g.m) == factorial(n), f"K{n}"
 
 
 def test_cycles_and_trees():

@@ -1,4 +1,4 @@
-"""Deletion/contraction engine against the brute-force and Tutte routes."""
+"""The y=0 engine against the brute-force and Tutte routes."""
 
 import random
 
@@ -14,11 +14,13 @@ from kappatools.corpus import (
 )
 from kappatools.errors import GraphInputError
 from kappatools.graphs import Multigraph
-from kappatools.kappa import kappa, kappa_with_trace
+from kappatools.kappa import CacheStats, kappa, kappa_with_trace
 from kappatools.orientations import kappa_partition_bruteforce
 from kappatools.tutte import tutte_eval, tutte_polynomial
 
 TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+# K_(2,2,2): every pair but the three antipodal ones
+OCTAHEDRON = Multigraph(6, tuple((a, b) for b in range(6) for a in range(b) if b - a != 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
@@ -123,9 +125,14 @@ def test_relabelling_gives_identical_values():
 
 
 def test_cache_stats_count_hits_and_each_call_starts_fresh():
-    first = kappa(complete_graph(5))
-    again = kappa(complete_graph(5))
-    assert first.value == again.value == 24
+    # The subset DP meets each subset of K5 once: {0..4}, {1..4}, ..., {4}.
+    assert kappa(complete_graph(5)).cache_stats == CacheStats(hits=0, misses=5)
+    # The octahedron's antipodal pairs are independent, so two sequences of
+    # blocks can leave one rest: {0, 3}, {1}, {2} and {0}, {1}, {2}, {3}
+    # both leave {4, 5}.
+    first = kappa(OCTAHEDRON)
+    again = kappa(OCTAHEDRON)
+    assert first.value == again.value == 64
     assert first.cache_stats.hits > 0
     assert again.cache_stats == first.cache_stats
 

@@ -1,5 +1,5 @@
 """Tutte polynomial engine against the subset-expansion oracle, networkx
-and the y=0 recursion."""
+and the y=0 engine."""
 
 import importlib
 import random
@@ -187,7 +187,7 @@ def _dense_and_sparse(rng):
 def test_y0_engine_matches_polynomial_on_both_sides_of_the_density_threshold(monkeypatch):
     # the package re-exports the function `kappa` under the module's name
     kappa_module = importlib.import_module("kappatools.kappa")
-    calls = {"frontier_sum": 0, "memo_key": 0}
+    calls = {"frontier_sum": 0, "_partition_counts": 0}
     for name in calls:
         original = getattr(kappa_module, name)
 
@@ -202,8 +202,8 @@ def test_y0_engine_matches_polynomial_on_both_sides_of_the_density_threshold(mon
         poly = tutte_polynomial(g)
         for x in range(4):
             assert tutte_eval(g, x, 0) == poly.evaluate(x, 0), (g, x)
-    # both the frontier sum and deletion/contraction answered pieces
-    assert calls["frontier_sum"] > 0 and calls["memo_key"] > 0
+    # both the frontier sum and the subset DP answered pieces
+    assert calls["frontier_sum"] > 0 and calls["_partition_counts"] > 0
 
 
 def _subset_counts_by_enumeration(g):
