@@ -207,7 +207,7 @@ class Multigraph:
             uf.union(a, b)
         return uf.groups()
 
-    @property
+    @cached_property
     def is_connected(self):
         return len(self.connected_components()) <= 1
 

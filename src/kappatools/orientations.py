@@ -1,15 +1,19 @@
 """Brute-force layer over acyclic orientations.
 
 An orientation is one bit per edge-id: bit 0 directs the edge from its
-smaller endpoint label to the larger, bit 1 the reverse.  Everything here
-works by exhaustive enumeration over bitmasks and is the ground truth the
-fast engines are tested against.  The acyclic masks are generated, not
+smaller endpoint label to the larger, bit 1 the reverse.  The classes
+here come from the full set of acyclic masks and are the ground truth the
+fast engines are tested against; the unique-source transversal is
+searched for directly.  The acyclic masks are generated, not
 filtered: a depth-first search orients one edge at a time, and an edge
 whose one direction would close a cycle is forced the other way.  One
 direction is always open, so the work follows the number of acyclic
 masks rather than 2^m (`_acyclic_masks`).  `_peels`, which peels sources
 off one mask, is the check for a single mask and the oracle the search is
-tested against.  All entry points reject loops, which
+tested against.  `_unique_source_masks` runs the same search but also
+ends a branch at an edge into the chosen source or at a second source,
+so it never builds the acyclic masks it would drop.  All entry points
+reject loops, which
 admit no acyclic orientation; graphs with parallel edges are partitioned
 after simplification (anti-parallel pairs are 2-cycles, so co-direction is
 forced and nothing is lost).
@@ -529,34 +533,93 @@ def cut_equivalent(o1, o2):
     return True
 
 
-def _sources(tables, bits):
-    """Vertices with no incoming edge under `bits`, isolated ones included."""
-    out, incident = tables
-    return [v for v, edges in enumerate(incident) if not (bits ^ out[v]) & edges]
+def _unique_source_masks(g, v):
+    """The acyclic masks of the connected graph g whose only source is v,
+    ascending, found by an edge-by-edge search with two early cuts.
+
+    The edges are oriented one at a time, highest id first, depth first,
+    with `_acyclic_masks`' reach bitsets: an edge whose other direction
+    would close a cycle is forced, and costs no frame and no reach update.
+    Two tests end a branch early.  A free edge is never chosen into v; a
+    forced edge never enters v either, since it is forced into a vertex
+    another one already reaches.  And every vertex w != v is checked at its
+    lowest edge id, the last of its edges the search orients: if w then has
+    no in-edge (`entered` holds the vertices that have one), it is a second
+    source.  The kept masks are acyclic, no edge
+    enters v and every other vertex has an in-edge, which is exactly "the
+    only source is v".
+    """
+    n = g.n_vertices
+    ends = g.edges
+    lowest = [0] * n
+    for e in range(g.m - 1, -1, -1):
+        a, b = ends[e]
+        lowest[a] = lowest[b] = e
+    closing = [0] * g.m  # closing[e]: the vertices w != v whose lowest edge is e
+    for w in range(n):
+        if w != v:
+            closing[lowest[w]] |= 1 << w
+    masks = []
+
+    def walk(e, bits, reach, entered):
+        while e:
+            e -= 1
+            a, b = ends[e]
+            abit, bbit = 1 << a, 1 << b
+            if reach[b] & abit:  # forced b->a
+                bits |= 1 << e
+                entered |= abit
+            elif reach[a] & bbit:  # forced a->b
+                entered |= bbit
+            else:
+                into_a = a != v and not closing[e] & ~(entered | abit)
+                into_b = b != v and not closing[e] & ~(entered | bbit)
+                if into_a:
+                    head = reach[a]
+                    raised = [r | head if r & bbit else r for r in reach]
+                    if not into_b:
+                        bits |= 1 << e
+                        entered |= abit
+                        reach = raised
+                        continue
+                    walk(e, bits | 1 << e, raised, entered | abit)
+                elif not into_b:
+                    return
+                head = reach[b]
+                reach = [r | head if r & abit else r for r in reach]
+                entered |= bbit
+                continue
+            if closing[e] & ~entered:
+                return
+        masks.append(bits)
+
+    walk(g.m, 0, [1 << x for x in range(n)], 0)
+    masks.sort()
+    return tuple(masks)
 
 
 def unique_source_orientations(g, v, cap=None):
-    """Acyclic orientations of connected g whose only source is v."""
+    """Acyclic orientations of connected g whose only source is v,
+    in ascending bitmask order (`_unique_source_masks`)."""
     _require_loop_free(g)
     if not (0 <= v < g.n_vertices):
         raise GraphInputError(f"vertex {v} out of range")
     if not g.is_connected:
         raise GraphInputError("graph must be connected")
     _check_cap(g, cap)
-    tables = _bit_tables(g)
-    return [
-        Orientation(g, bits)
-        for bits in _acyclic_masks(g)
-        if _sources(tables, bits) == [v]
-    ]
+    return [Orientation(g, bits) for bits in _unique_source_masks(g, v)]
 
 
 def normalize_to_unique_source(o, v):
     """Click non-v sources (smallest label first) until v is the only source.
 
-    Returns the final orientation and the click sequence used.  Termination
-    is guaranteed for connected graphs; a guard of 2^m * n iterations turns
-    a failure to terminate into an internal-invariant error.
+    Returns the final orientation and the click sequence used.  In-degrees
+    are kept per vertex and the non-v sources in a min-heap: a click turns
+    its source into a sink and can only free its neighbours, and no source
+    is adjacent to another, so the heap never holds a stale entry and
+    popping it gives the smallest current source.  Termination is
+    guaranteed for connected graphs; a guard of 2^m * n iterations turns a
+    failure to terminate into an internal-invariant error.
     """
     g = o.graph
     if not (0 <= v < g.n_vertices):
@@ -565,21 +628,26 @@ def normalize_to_unique_source(o, v):
         raise GraphInputError("graph must be connected")
     if not _is_acyclic_bits(g, o.bits):
         raise GraphInputError("orientation is not acyclic")
-    tables = _bit_tables(g)
-    incident = tables[1]
+    out, incident = _bit_tables(g)
     bits = o.bits
+    indeg = [((bits ^ out[w]) & incident[w]).bit_count() for w in range(g.n_vertices)]
+    heap = [w for w, d in enumerate(indeg) if not d and w != v]  # ascending: a heap
     seq = []
     guard = (1 << g.m) * max(g.n_vertices, 1)
-    while True:
-        src = next((w for w in _sources(tables, bits) if w != v), None)
-        if src is None:
-            break
+    while heap:
+        src = heapq.heappop(heap)
         bits ^= incident[src]
         seq.append(src)
         if len(seq) > guard:
             raise InternalInvariantError(
                 "source normalization failed to terminate within 2^m * n clicks"
             )
+        neighbours = g._incidence[src]
+        indeg[src] = len(neighbours)
+        for _, w in neighbours:
+            indeg[w] -= 1
+            if not indeg[w] and w != v:
+                heapq.heappush(heap, w)
     return Orientation(g, bits), tuple(seq)
 
 

@@ -1,6 +1,8 @@
 """Orientation enumeration, clicks, class structure, paths, cuts."""
 
+import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from kappatools.cli import main
 from kappatools.corpus import (
     complete_graph,
+    connected_simple_graphs,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -18,6 +21,7 @@ from kappatools.corpus import (
 )
 from kappatools.errors import CapExceededError, GraphInputError
 from kappatools.graphs import Multigraph, UnionFind
+from kappatools.kappa import kappa
 from kappatools.orientations import (
     Orientation,
     PathSpec,
@@ -26,6 +30,7 @@ from kappatools.orientations import (
     _click_class_masks,
     _fundamental_cycles,
     _peels,
+    _unique_source_masks,
     acyclic_masks,
     apply_click_sequence,
     click,
@@ -230,9 +235,10 @@ def test_masks_on_many_parallel_edges_take_no_frame_per_edge():
 def test_transversal_on_many_parallel_edges(capsys, tmp_path):
     path = tmp_path / "parallel.txt"
     path.write_text("2 3000\n" + "0 1\n" * 3000)
-    code = main(["transversal", str(path), "--vertex", "0", "--cap", "5000"])
-    assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == "count 1"
+    for vertex in ("0", "1"):
+        code = main(["transversal", str(path), "--vertex", vertex, "--cap", "5000"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "count 1"
 
 
 @pytest.mark.parametrize("centre", [0, 14])
@@ -640,6 +646,127 @@ def test_fundamental_cycles_are_the_cycles_nu_reads():
 
 
 # ----- unique-source transversal -----
+
+def filtered_unique_source(g, v):
+    """The oracle: every acyclic mask whose only source is v, isolated
+    vertices counted as sources."""
+    out, incident = _bit_tables(g)
+    return tuple(
+        bits for bits in _acyclic_masks(g)
+        if [w for w, edges in enumerate(incident) if not (bits ^ out[w]) & edges] == [v]
+    )
+
+
+def check_unique_source(g):
+    for v in range(g.n_vertices):
+        assert _unique_source_masks(g, v) == filtered_unique_source(g, v), (g, v)
+
+
+def random_connected_multigraph(rng, max_vertices=7, max_edges=14):
+    """A random spanning tree, random extra pairs drawn with repeats, and
+    one more copy of an edge at a random vertex."""
+    n = rng.randint(2, max_vertices)
+    edges = [(rng.randrange(w), w) for w in range(1, n)]
+    for _ in range(rng.randint(0, max_edges - n)):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    v = rng.randrange(n)
+    edges.append(rng.choice([e for e in edges if v in e]))
+    rng.shuffle(edges)
+    return Multigraph(n, tuple(edges))
+
+
+def random_tree(rng, max_vertices=12):
+    n = rng.randint(2, max_vertices)
+    return Multigraph(n, tuple((rng.randrange(w), w) for w in range(1, n)))
+
+
+def test_unique_source_search_matches_filter_on_the_corpus(small_corpus):
+    for g in small_corpus:
+        check_unique_source(g)
+
+
+def test_unique_source_search_matches_filter_on_seeded_multigraphs():
+    rng = random.Random(20261019)
+    for _ in range(150):
+        check_unique_source(random_connected_multigraph(rng))
+
+
+def test_unique_source_search_matches_filter_on_families():
+    rng = random.Random(11)
+    check_unique_source(Multigraph(1, ()))
+    assert _unique_source_masks(Multigraph(1, ()), 0) == (0,)
+    for _ in range(20):
+        check_unique_source(scrambled(random_tree(rng), rng))
+    for n in range(2, 7):
+        check_unique_source(complete_graph(n))
+        check_unique_source(scrambled(complete_graph(n), rng))
+    check_unique_source(grid_graph(3, 3))
+    check_unique_source(theta_graph(4, 2, 3))
+
+
+def test_unique_source_search_has_no_dead_branch_on_complete_graphs():
+    """On K_n every frame of the search ends in an output: a free edge is
+    never tried into the source, so no branch dies of it."""
+    calls = 0
+
+    def count_walks(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "walk"
+
+    for n in range(2, 8):
+        for v in range(n):
+            calls = 0
+            sys.setprofile(count_walks)
+            try:
+                found = _unique_source_masks(complete_graph(n), v)
+            finally:
+                sys.setprofile(None)
+            assert calls == len(found) == math.factorial(n - 1), (n, v, calls)
+
+
+def test_unique_source_outputs_are_one_per_class(random_corpus, random_partitions):
+    for g in random_corpus:
+        part = random_partitions[g]
+        for v in range(g.n_vertices):
+            found = unique_source_orientations(g, v)
+            hit = [part.class_of(o) for o in found]
+            assert len(found) == kappa(g).value == part.class_count
+            assert sorted(hit) == list(range(part.class_count))
+
+
+def reference_normalize(o, v):
+    """The scan this replaced: click the smallest non-v source, found by
+    testing every vertex, until v is the only source."""
+    out, incident = _bit_tables(o.graph)
+    bits, seq = o.bits, []
+    while True:
+        sources = [w for w, edges in enumerate(incident) if not (bits ^ out[w]) & edges]
+        src = next((w for w in sources if w != v), None)
+        if src is None:
+            return bits, tuple(seq)
+        bits ^= incident[src]
+        seq.append(src)
+
+
+def test_normalize_matches_the_reference_scan():
+    graphs = connected_simple_graphs(4) + [
+        cycle_graph(6),
+        complete_graph(5),
+        theta_graph(3, 2, 3),
+        Multigraph(4, ((0, 1), (1, 2), (0, 1), (2, 3), (0, 3), (1, 2), (1, 3))),
+    ]
+    for g in graphs:
+        for bits in _acyclic_masks(g):
+            o = Orientation(g, bits)
+            for v in range(g.n_vertices):
+                result, seq = normalize_to_unique_source(o, v)
+                assert (result.bits, seq) == reference_normalize(o, v), (g, bits, v)
+
+
+def test_normalize_rejects_a_cyclic_orientation():
+    with pytest.raises(GraphInputError, match="not acyclic"):
+        normalize_to_unique_source(Orientation(TRIANGLE, 0b100), 0)
+
 
 def test_tree_has_single_unique_source_orientation():
     tree = Multigraph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
