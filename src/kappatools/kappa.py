@@ -1,14 +1,13 @@
 """Fast click-class counting, no orientation enumeration.
 
-One engine evaluates the Tutte polynomial on the line y = 0: `_Engine(1)`
-gives the class count kappa = T(1, 0), and `tutte_eval(g, x, 0)` runs the
-same engine at any integer x (x = 2 counts acyclic orientations).  Three
-prunings come first: parallel edges collapse, each bridge contributes a
-factor x, and disjoint pieces multiply.  A piece that is a cycle C_m is
-answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
-sparse piece, one with fewer than DENSE_SHARE of all vertex pairs as
-edges, is answered by `frontier_sum`; a dense one by
-`_partition_counts`.
+One function, `_solve`, evaluates the Tutte polynomial on the line
+y = 0: `kappa` runs it at x = 1, and `tutte_eval(g, x, 0)` at any integer
+x (x = 2 counts acyclic orientations).  Three prunings come first:
+parallel edges collapse, each bridge contributes a factor x, and disjoint
+pieces multiply.  A piece that is a cycle C_m is answered in closed
+form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A sparse piece, one with
+fewer than DENSE_SHARE of all vertex pairs as edges, is answered by
+`frontier_sum`; a dense one by `_partition_counts`.
 
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
@@ -20,15 +19,16 @@ partitions of the n vertices into k independent sets, gives the chromatic
 polynomial sum_k p_k L(L-1)...(L-k+1), and with Tutte's
 chi(L) = (-1)^(n-1) L T(1-L, 0) for a connected graph,
 T(x, 0) = (-1)^(n-1) sum_k p_k prod_{i=1..k-1} (1 - x - i)
-(Greene and Zaslavsky, Trans. AMS 1983).  The p_k come from a memoized
-DP over vertex subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput.
-2009); a dense piece has few independent sets, so the DP reaches few
-subsets.
+(Greene and Zaslavsky, Trans. AMS 1983).  The p_k come from a DP over
+vertex subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput. 2009),
+run as one forward pass that takes the subsets by falling size; a dense
+piece has few independent sets, so the DP reaches few subsets.
 
 `kappa_with_trace` runs a separate recursion, `_trace`: the paper's
 deletion/contraction at x = 1, unmemoized, without the cycle rule, the
 frontier sum or the subset DP, so its tree is the complete unfolded
-recursion.
+recursion, and the one path here that recurses in Python.  It and
+`_solve` split a graph into pieces by the same helper, `_core`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ DENSE_SHARE = 0.5
 
 @dataclass
 class CacheStats:
-    """Hits and misses in the subset DP's tables."""
+    """Arrivals at vertex subsets in the subset DP: a miss reaches a
+    subset the first time, a hit reaches it again."""
 
     hits: int = 0
     misses: int = 0
@@ -92,10 +93,6 @@ def _cycle_value(m, x):
     if x == 1:
         return m - 1
     return (x**m - x) // (x - 1)
-
-
-def _least_edge(c):
-    return min(range(c.m), key=lambda i: c.edges[i])
 
 
 def frontier_sum(g, take, close, scale=mul):
@@ -177,12 +174,16 @@ def _partition_counts(c, stats):
 
     P(S) = sum_k p_k(S) z^k, the counts for the subgraph induced on S, is
     the sum of z * P(S - I) over the independent sets I of S that hold its
-    first vertex, with P({}) = 1.  The vertices are taken by falling degree, so
-    that the first vertex of S has few non-neighbours to branch on.  P(S)
-    is packed into one integer, p_k in the bits from k * width up; no
-    count exceeds the Bell number of n, which is at most n!, so the slots
-    never carry.  Each subset is computed once; `stats` counts the lookups
-    that found it already computed as hits and the others as misses.
+    first vertex, with P({}) = 1.  One forward pass unrolls it: the weight
+    of S sums z^j over the chains of j such steps from V down to S, and
+    P(V) is what reaches the empty set.  A step only removes vertices, so
+    with the subsets taken by falling size a weight is final when it is
+    taken (and dropped).  The vertices are taken by falling degree, so
+    that the first vertex of S has few non-neighbours to branch on.  A
+    weight is packed into one integer, the z^k count in the bits from
+    k * width up; no count exceeds the Bell number of n, at most n!, so
+    the slots never carry.  `stats` counts the first arrival at a nonempty
+    subset (the full set included) as a miss, every later one as a hit.
     """
     n = c.n_vertices
     degree = c.degrees
@@ -194,74 +195,68 @@ def _partition_counts(c, stats):
         adjacent[bit[a]] |= bit[b]
         adjacent[bit[b]] |= bit[a]
     width = factorial(n).bit_length()
-    table = {}
-
-    def count(s):
-        packed = table.get(s)
-        if packed is not None:
-            stats.hits += 1
-            return packed
-        stats.misses += 1
-        first = s & -s
-        rest = s ^ first
-        total = 0
-        # each independent I of s holding `first`, as the set s - I it leaves
-        stack = [(rest, rest & ~adjacent[first])]
-        while stack:
-            left, free = stack.pop()
-            if free:
-                u = free & -free
-                free ^= u
-                stack.append((left, free))
-                stack.append((left ^ u, free & ~adjacent[u]))
-            else:
-                total += count(left) if left else 1
-        packed = table[s] = total << width
-        return packed
-
-    packed = count((1 << n) - 1)
+    weight = [{} for _ in range(n + 1)]  # weight[k]: the subsets of size k
+    weight[n][(1 << n) - 1] = 1
+    total = arrivals = taken = 0
+    for level in reversed(weight[1:]):
+        while level:
+            s, packed = level.popitem()
+            taken += 1
+            packed <<= width
+            first = s & -s
+            rest = s ^ first
+            # each independent I of s holding `first`, as the set s - I it leaves
+            stack = [(rest, rest & ~adjacent[first])]
+            while stack:
+                left, free = stack.pop()
+                if free:
+                    u = free & -free
+                    free ^= u
+                    stack.append((left, free))
+                    stack.append((left ^ u, free & ~adjacent[u]))
+                elif left:
+                    arrivals += 1
+                    below = weight[left.bit_count()]
+                    below[left] = below.get(left, 0) + packed
+                else:
+                    total += packed
+    stats.misses += taken
+    stats.hits += arrivals - (taken - 1)
     mask = (1 << width) - 1
-    return [(packed >> k * width) & mask for k in range(n + 1)]
+    return [(total >> k * width) & mask for k in range(n + 1)]
 
 
-class _Engine:
-    """T(g; x, 0) for one x: pruning, closed-form cycles, the frontier sum
-    on sparse pieces and the subset DP on dense ones."""
+def _core(g):
+    """simplify(g) and its bridgeless core, without isolated vertices."""
+    s = g.simplify()
+    return s, s.cycle_subgraph().drop_isolated()
 
-    def __init__(self, x):
-        self.x = x
-        self.stats = CacheStats()
 
-    def solve(self, g):
-        """Value of an arbitrary loop-free multigraph."""
-        s = g.simplify()
-        core = s.cycle_subgraph().drop_isolated()
-        value = self.x ** (s.m - core.m)
-        for piece in core.split_components():
-            value *= self._solve_component(piece)
-        return value
-
-    def _solve_component(self, c):
-        """c is connected, simple, bridge-free, with at least one edge."""
+def _solve(g, x, stats):
+    """T(g; x, 0) of a loop-free multigraph; `stats` counts the subset DP."""
+    s, core = _core(g)
+    value = x ** (s.m - core.m)
+    for c in core.split_components():
         n = c.n_vertices
         if c.m == n:
-            return _cycle_value(c.m, self.x)
+            value *= _cycle_value(n, x)
+            continue
         if 2 * c.m < DENSE_SHARE * n * (n - 1):
             # T(c; x, 0) = (-1)^(n+1) sum over A of (-1)^|A| (1-x)^(c(A)-1)
-            value = frontier_sum(c, -1, 1 - self.x)
+            piece = frontier_sum(c, -1, 1 - x)
         else:
             # T(c; x, 0) = (-1)^(n+1) sum over k of p_k prod_{i<k} (1-x-i)
-            value, weight = 0, 1
-            for k, count in enumerate(_partition_counts(c, self.stats)[1:], 1):
-                value += count * weight
-                weight *= 1 - self.x - k
-        return value if n % 2 else -value
+            piece, factor = 0, 1
+            for k, count in enumerate(_partition_counts(c, stats)[1:], 1):
+                piece += count * factor
+                factor *= 1 - x - k
+        value *= piece if n % 2 else -piece
+    return value
 
 
 def _trace(g):
     """The unfolded recursion tree of g at x = 1."""
-    s = g.simplify()
-    core = s.cycle_subgraph().drop_isolated()
+    s, core = _core(g)
     if core.m == 0:
         return TraceNode(memo_key(core), "base", None, 1, ())
     pieces = core.split_components()
@@ -277,8 +272,9 @@ def _trace(g):
 
 
 def _trace_component(c):
-    """c is connected, simple, bridge-free, with at least one edge."""
-    eid = _least_edge(c)
+    """c is connected, simple, bridge-free, with at least one edge; the
+    recursion splits it at its least edge."""
+    eid = min(range(c.m), key=c.edges.__getitem__)
     children = (_trace(c.delete_edge(eid)), _trace(c.contract_edge(eid)))
     value = children[0].value + children[1].value
     return TraceNode(memo_key(c), "recursion", c.edges[eid], value, children)
@@ -288,16 +284,17 @@ def kappa(g):
     """Number of click-equivalence classes of acyclic orientations of g.
 
     Parallel edges are fine (they collapse); loops are rejected.  Dense
-    pieces go to the subset DP, with a fresh table per piece and call; the
-    hits and misses of those tables are returned as `cache_stats`.  Cycle
-    pieces (closed form) and sparse pieces (the frontier sum) never reach
-    a table, so they count as neither hits nor misses.
+    pieces go to the subset DP, one forward pass per piece; the subsets it
+    reached the first time (misses) and again (hits), summed over the
+    pieces of this call, are returned as `cache_stats`.  Cycle pieces
+    (closed form) and sparse pieces (the frontier sum) never reach the DP,
+    so they count as neither hits nor misses.  Nothing here recurses in
+    Python, so no graph raises RecursionError.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")
-    engine = _Engine(1)
-    value = engine.solve(g)
-    return KappaResult(value, None, engine.stats)
+    stats = CacheStats()
+    return KappaResult(_solve(g, 1, stats), None, stats)
 
 
 def kappa_with_trace(g):

@@ -22,8 +22,8 @@ Pretzel (Order 1986) shows that the click classes, the cut-equivalence
 classes and the classes of ν on cycles agree; ν is additive over the cycle
 space, so the fundamental cycles decide it.  Two algorithms get the classes.
 `_nu_classes` groups the masks by a packed key of ν on the fundamental
-cycles; it serves both `kappa_partition_bruteforce` (and through it the
-`classes`, `nu` and `collapse` commands) and `cut_equivalence_classes`.
+cycles; its one caller is `kappa_partition_bruteforce`, behind the
+`classes`, `nu` and `collapse` commands and `cut_equivalence_classes`.
 `_click_class_masks` closes the click graph; it is `verify`'s second,
 independent leg and the test oracle for the grouping.
 """
@@ -341,16 +341,11 @@ def kappa_partition_bruteforce(g, cap=None):
 def cut_equivalence_classes(g, cap=None):
     """Transitive closure of cut-equivalence over simplify(g), as bit classes.
 
-    Pretzel (Order 1986): the classes are those of ν on cycles, and ν is
-    additive over the cycle space, so the masks are grouped by ν on the
-    fundamental cycles (`_nu_classes`, the grouping behind
-    `kappa_partition_bruteforce` too).  The classes come out in the sorted
-    shape that KappaPartition.classes holds.
+    Pretzel (Order 1986): the classes are those of ν on cycles, which are
+    the click classes, so these are the classes of
+    `kappa_partition_bruteforce`, in the sorted shape they hold there.
     """
-    _require_loop_free(g)
-    s = g.simplify()
-    _check_cap(s, cap)
-    return _nu_classes(s)
+    return kappa_partition_bruteforce(g, cap).classes
 
 
 def _fundamental_cycles(s):

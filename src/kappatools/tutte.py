@@ -10,10 +10,11 @@ number of subsets per (corank, |A|), packed into one integer.  The work
 grows with the number of frontier partitions, not with 2^m.  Evaluations
 at y=0 do not build the polynomial: they run the one y=0 engine of
 `kappatools.kappa`, which answers sparse pieces with the same frontier
-walk and dense ones by a DP over vertex subsets that counts partitions
-into independent sets.  So this polynomial and that engine share code,
-and the checks independent of both are brute force (`orientations`), the
-subset-expansion oracle below and the closed forms of the tests.
+walk and dense ones by a DP over vertex subsets, one forward pass by
+falling subset size, that counts partitions into independent sets.  So
+this polynomial and that engine share code, and the checks independent
+of both are brute force (`orientations`), the subset-expansion oracle
+below and the closed forms of the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from types import MappingProxyType
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
 from .graphs import Multigraph, UnionFind
-from .kappa import _Engine, frontier_sum
+from .kappa import CacheStats, _solve, frontier_sum
 
 DEFAULT_TUTTE_CAP = 30
 DEFAULT_ORACLE_CAP = 16
@@ -156,8 +157,9 @@ def tutte_eval(g, x, y, cap=None):
     At y=0 the engine of `kappatools.kappa` runs: a loop makes the value
     0, parallel classes collapse, bridges factor out as powers of x,
     cycles are summed in closed form, sparse pieces go to the frontier sum
-    and dense ones to the subset DP.  Other points
-    evaluate the full polynomial of the frontier sum.
+    and dense ones to the subset DP.  None of it recurses in Python, so
+    no graph raises RecursionError here.  Other points evaluate the full
+    polynomial of the frontier sum.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise GraphInputError("evaluation point must be a pair of integers")
@@ -165,7 +167,7 @@ def tutte_eval(g, x, y, cap=None):
     if y == 0:
         if g.has_loops:
             return 0
-        return _Engine(x).solve(g)
+        return _solve(g, x, CacheStats())
     return tutte_polynomial(g, cap).evaluate(x, y)
 
 

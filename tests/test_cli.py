@@ -16,6 +16,7 @@ import kappatools
 from kappatools import cli, orientations
 from kappatools.cli import build_parser, main
 from kappatools.corpus import cycle_graph
+from kappatools.errors import InternalInvariantError
 from kappatools.graphs import Multigraph
 
 C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
@@ -187,6 +188,84 @@ def test_verify_catches_a_class_key_that_merges_classes(capsys, monkeypatch, tmp
     assert code == 4
     checks = json.loads(out)["graphs"][0]["checks"]
     assert checks["cut_equivalence"] == {"ok": False}
+
+
+def verify_checks(capsys, path):
+    code, out, _ = run_cli(capsys, "verify", path, "--format", "json")
+    return code, json.loads(out)["graphs"][0]["checks"]
+
+
+def test_verify_catches_a_transversal_that_misses_a_class(capsys, monkeypatch, c5_file):
+    found = cli.unique_source_orientations
+    monkeypatch.setattr(
+        cli, "unique_source_orientations", lambda g, v, cap: found(g, v, cap)[1:]
+    )
+    code, checks = verify_checks(capsys, c5_file)
+    assert code == 4
+    assert checks["transversal"] == {"ok": False, "skipped": False}
+    assert all(c["ok"] for name, c in checks.items() if name != "transversal")
+
+
+def test_verify_catches_a_normalization_to_the_wrong_class(capsys, monkeypatch, c5_file):
+    normalize = cli.normalize_to_unique_source
+
+    def to_first_class(o, v):
+        first = orientations.kappa_partition_bruteforce(o.graph).representatives[0]
+        return normalize(first, v)
+
+    monkeypatch.setattr(cli, "normalize_to_unique_source", to_first_class)
+    code, checks = verify_checks(capsys, c5_file)
+    assert code == 4
+    assert checks["transversal"] == {"ok": False, "skipped": False}
+
+
+def test_alpha_reports_a_mismatch_as_exit_4(capsys, monkeypatch, c5_file):
+    evaluate = cli.tutte_eval
+    monkeypatch.setattr(cli, "tutte_eval", lambda g, x, y: evaluate(g, x, y) + 1)
+    code, out, _ = run_cli(capsys, "alpha", c5_file)
+    assert code == 4
+    assert out == "bruteforce 30\ntutte 31\nMISMATCH\n"
+
+
+def test_internal_invariant_error_in_a_handler_is_exit_4(capsys, monkeypatch, c5_file):
+    def broken(g):
+        raise InternalInvariantError("broken on purpose")
+
+    monkeypatch.setattr(cli, "kappa", broken)
+    code, out, err = run_cli(capsys, "kappa", c5_file)
+    assert code == 4
+    assert out == ""
+    assert err == "error: broken on purpose\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("[0, 1]", "malformed path spec"),
+        ('{"closed": true}', "malformed path spec"),
+        ('{"vertices": [2, 2], "closed": true}', "at least two distinct vertices"),
+        ('{"vertices": [0, 7]}', "path vertex 7 out of range"),
+        ('{"vertices": [0, 1, 2], "edges": [0]}', "edge_choice has 1 entries for 2 steps"),
+        ('{"vertices": [0, 1], "closed": true}', "path uses edge 0 twice"),
+    ],
+)
+def test_nu_rejects_an_invalid_path_spec(capsys, c5_file, spec, message):
+    code, out, err = run_cli(capsys, "nu", c5_file, "--path", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("x 1", "non-integer header"), ("3 -1", "negative counts"), ("-3 0", "negative counts")],
+)
+def test_bad_header_counts_are_exit_2(capsys, monkeypatch, header, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\n"))
+    code, out, err = run_cli(capsys, "kappa", "-")
+    assert code == 2
+    assert out == ""
+    assert "line 1" in err and message in err
 
 
 def test_verify_ignores_isolated_vertices(capsys, tmp_path):

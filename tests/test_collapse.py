@@ -177,6 +177,13 @@ def test_build_rejects_non_simple():
         build_collapse_graph(g, 0)
 
 
+def test_build_rejects_the_partition_of_another_graph():
+    with pytest.raises(GraphInputError, match="different graph"):
+        build_collapse_graph(
+            complete_graph(4), 0, partition=kappa_partition_bruteforce(cycle_graph(4))
+        )
+
+
 def test_build_rejects_bridge():
     g = Multigraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
     with pytest.raises(GraphInputError, match="cycle-edge"):

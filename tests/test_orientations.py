@@ -849,3 +849,25 @@ def test_cyclic_shift_stays_in_class(g):
 @settings(max_examples=100, deadline=None)
 def test_permutation_images_are_acyclic(o):
     assert is_acyclic(o)
+
+
+def test_click_and_normalize_reject_a_vertex_out_of_range():
+    o = Orientation(TRIANGLE, 0)
+    with pytest.raises(GraphInputError, match="vertex 3 out of range"):
+        click(o, 3)
+    with pytest.raises(GraphInputError, match="vertex -1 out of range"):
+        normalize_to_unique_source(o, -1)
+
+
+def test_topological_order_rejects_a_cyclic_orientation():
+    # 0->1, 1->2 and edge (0, 2) reversed to 2->0 close a directed triangle
+    with pytest.raises(GraphInputError, match="cyclic"):
+        topological_order(Orientation(TRIANGLE, 0b100))
+
+
+def test_partition_lookups_reject_cyclic_masks_and_foreign_graphs():
+    part = kappa_partition_bruteforce(TRIANGLE)
+    with pytest.raises(GraphInputError, match="not acyclic here"):
+        part.class_of_bits(0b100)
+    with pytest.raises(GraphInputError, match="different graph"):
+        part.class_of(Orientation(P3, 0))

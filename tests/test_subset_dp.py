@@ -8,6 +8,7 @@ DENSE_SHARE to 0, so that every piece that is not a cycle goes there.
 
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -107,3 +108,26 @@ def test_dp_matches_the_frontier_sum_on_larger_dense_graphs(monkeypatch):
             monkeypatch.setattr(KAPPA_MODULE, "DENSE_SHARE", share)
             values.append([kappa(g).value] + [tutte_eval(g, x, 0, cap=g.m) for x in (-1, 2)])
         assert values[0] == values[1], g
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_dp_does_not_recurse_per_block():
+    # K300 has one partition, into 300 singletons: a recursion with one
+    # frame per block would need 300 nested frames, 100 are allowed here
+    n = 300
+    clique = Multigraph(n, tuple((a, b) for a in range(n) for b in range(a + 1, n)))
+    stats = CacheStats()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        counts = _partition_counts(clique, stats)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts == [0] * n + [1]
+    assert (stats.hits, stats.misses) == (0, n)
