@@ -21,7 +21,7 @@ import sys
 from itertools import islice
 
 from .collapse import build_collapse_graph, verify_collapse_structure
-from .corpus import connected_simple_graphs, random_gnp_graph
+from .corpus import GNP_DESCRIPTION, connected_simple_graphs, random_gnp_graph
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
 from .graphs import parse_edge_list
 from .kappa import kappa, kappa_with_trace
@@ -280,10 +280,7 @@ def _cmd_verify(args):
             entries.append((f"gnp/{i}", g, params))
         descriptor["random_corpus"] = {
             "count": args.random_corpus,
-            "generator": (
-                "gnp, n uniform in 2..8, p uniform in 0.2..0.8,"
-                f" conditioned on m <= {args.cap}"
-            ),
+            "generator": f"{GNP_DESCRIPTION}, conditioned on m <= {args.cap}",
         }
 
     graphs_out = []

@@ -126,11 +126,12 @@ class CollapseGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_collapse_graph(g, e, cap=None, partition=None):
+def build_collapse_graph(g, e, cap=None):
     """Collapse graph of connected simple g at cycle-edge e, by brute force.
 
     Nodes are the click-classes of g; each click-class of the simplified
     contraction contributes one edge joining the classes of its two lifts.
+    Both partitions are computed here, under the same brute-force cap.
     Well-definedness is asserted by lifting every member, not just the
     representative.
     """
@@ -140,10 +141,7 @@ def build_collapse_graph(g, e, cap=None, partition=None):
         raise GraphInputError("graph must be simple")
     if not g.is_connected:
         raise GraphInputError("graph must be connected")
-    if partition is None:
-        partition = kappa_partition_bruteforce(g, cap)
-    elif partition.graph != g:
-        raise GraphInputError("supplied partition belongs to a different graph")
+    partition = kappa_partition_bruteforce(g, cap)
     lifter = _Lifter(g, e)
     contracted_partition = kappa_partition_bruteforce(lifter.contracted, cap)
     edges = []

@@ -1,4 +1,4 @@
-"""Graph families and seeded corpora for tests, scripts, and `verify`."""
+"""Graph families and seeded corpora for tests and `verify`."""
 
 from __future__ import annotations
 
@@ -67,19 +67,30 @@ def random_forest(rng, max_vertices=12):
     return Multigraph(n, tuple(edges))
 
 
-def random_gnp_graph(
-    rng, max_edges, min_vertices=2, max_vertices=8, p_low=0.2, p_high=0.8
-):
+GNP_MIN_VERTICES = 2
+GNP_MAX_VERTICES = 8
+GNP_P_LOW = 0.2
+GNP_P_HIGH = 0.8
+# `verify --random-corpus` reports the draw in these words.
+GNP_DESCRIPTION = (
+    f"gnp, n uniform in {GNP_MIN_VERTICES}..{GNP_MAX_VERTICES},"
+    f" p uniform in {GNP_P_LOW}..{GNP_P_HIGH}"
+)
+
+
+def random_gnp_graph(rng, max_edges):
     """Simple graph with each pair present independently; returns (graph, params).
 
-    A graph with more than max_edges edges is drawn again from scratch (n and
-    p included), so the result is G(n, p) conditioned on m <= max_edges.
+    n is uniform in GNP_MIN_VERTICES..GNP_MAX_VERTICES and p uniform in
+    GNP_P_LOW..GNP_P_HIGH.  A graph with more than max_edges edges is drawn
+    again from scratch (n and p included), so the result is G(n, p)
+    conditioned on m <= max_edges.
     """
     if max_edges < 0:
         raise ValueError("max_edges must be nonnegative")
     while True:
-        n = rng.randint(min_vertices, max_vertices)
-        p = rng.uniform(p_low, p_high)
+        n = rng.randint(GNP_MIN_VERTICES, GNP_MAX_VERTICES)
+        p = rng.uniform(GNP_P_LOW, GNP_P_HIGH)
         edges = tuple(
             (a, b)
             for a in range(n)

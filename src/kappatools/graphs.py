@@ -49,11 +49,15 @@ class UnionFind:
         return ra
 
     def groups(self):
-        """Blocks as sorted lists, ordered by smallest member."""
+        """Blocks as sorted lists, ordered by smallest member.
+
+        Members are visited in ascending order and a root is its block's
+        minimum, so each block fills sorted and the blocks arrive by root.
+        """
         by_root = {}
         for x in range(len(self.parent)):
             by_root.setdefault(self.find(x), []).append(x)
-        return [sorted(block) for _, block in sorted(by_root.items())]
+        return list(by_root.values())
 
 
 @dataclass(frozen=True)

@@ -515,9 +515,7 @@ def cut_equivalent(o1, o2):
     for eid in range(g.m):
         if not (disagree >> eid) & 1:
             continue
-        tail, head = (
-            g.edges[eid] if not (o1.bits >> eid) & 1 else g.edges[eid][::-1]
-        )
+        tail, head = o1.arc(eid)
         rt, rh = uf.find(tail), uf.find(head)
         if rt == rh:
             return False
@@ -589,7 +587,9 @@ def _unique_source_masks(g, v):
         masks.append(bits)
 
     walk(g.m, 0, [1 << x for x in range(n)], 0)
-    masks.sort()
+    # The bit-1 branch of the highest undecided edge runs first, so the
+    # masks arrive in descending order.
+    masks.reverse()
     return tuple(masks)
 
 

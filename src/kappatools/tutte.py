@@ -171,17 +171,16 @@ def tutte_eval(g, x, y, cap=None):
     return tutte_polynomial(g, cap).evaluate(x, y)
 
 
-def tutte_oracle_rank_nullity(g, cap=None):
+def tutte_oracle_rank_nullity(g):
     """Independent oracle: the subset expansion over all 2^m edge subsets.
 
     Sums (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) over every edge subset A, with
     r(A) = n - components(A).  Exponential and deliberately unrelated to
     the frontier walk, the subset DP and the deletion/contraction
-    recursion.
+    recursion.  Raises CapExceededError past DEFAULT_ORACLE_CAP edges.
     """
-    cap = DEFAULT_ORACLE_CAP if cap is None else cap
-    if g.m > cap:
-        raise CapExceededError("subset expansion", g.m, cap)
+    if g.m > DEFAULT_ORACLE_CAP:
+        raise CapExceededError("subset expansion", g.m, DEFAULT_ORACLE_CAP)
     n = g.n_vertices
     m = g.m
 

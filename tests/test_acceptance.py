@@ -39,15 +39,13 @@ def _report(number, name, ok, elapsed=None):
 
 
 @pytest.fixture(scope="session")
-def small_collapses(small_corpus, small_partitions):
+def small_collapses(small_corpus):
     """Collapse graph for every cycle-edge of every small-corpus graph."""
     out = {}
     for g in small_corpus:
         for e, kind in enumerate(g.classify_edges()):
             if kind is EdgeKind.CYCLE_EDGE:
-                out[(g, e)] = build_collapse_graph(
-                    g, e, partition=small_partitions[g]
-                )
+                out[(g, e)] = build_collapse_graph(g, e)
     return out
 
 
@@ -140,7 +138,7 @@ def test_c04_recursion_checked_by_brute_force(
     assert ok, failures[:3]
 
 
-def test_c05_collapse_structure(small_collapses, small_partitions):
+def test_c05_collapse_structure(small_collapses):
     failures = []
     for (g, e), cg in small_collapses.items():
         report = verify_collapse_structure(cg)

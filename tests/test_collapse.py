@@ -177,13 +177,6 @@ def test_build_rejects_non_simple():
         build_collapse_graph(g, 0)
 
 
-def test_build_rejects_the_partition_of_another_graph():
-    with pytest.raises(GraphInputError, match="different graph"):
-        build_collapse_graph(
-            complete_graph(4), 0, partition=kappa_partition_bruteforce(cycle_graph(4))
-        )
-
-
 def test_build_rejects_bridge():
     g = Multigraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
     with pytest.raises(GraphInputError, match="cycle-edge"):
@@ -238,7 +231,7 @@ def test_recursion_reconstructed_from_collapse_graph():
         for e, kind in enumerate(g.classify_edges()):
             if kind is not EdgeKind.CYCLE_EDGE:
                 continue
-            cg = build_collapse_graph(g, e, partition=part)
+            cg = build_collapse_graph(g, e)
             components = len(cg.component_blocks())
             deleted = kappa_partition_bruteforce(g.delete_edge(e))
             contracted = kappa_partition_bruteforce(contracted_graph(g, e))

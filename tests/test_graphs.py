@@ -59,6 +59,11 @@ def test_out_of_range_endpoint_rejected():
         Multigraph(2, ((0, 2),))
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(GraphInputError, match="negative vertex count"):
+        Multigraph(-1, ())
+
+
 def test_loop_count():
     g = Multigraph(2, ((0, 0), (0, 1), (1, 1)))
     assert g.loop_count == 2
