@@ -160,7 +160,7 @@ def _cmd_transversal(args):
 def _cmd_collapse(args):
     g, descriptor = _read_input(args)
     cg = build_collapse_graph(g, args.edge, args.cap)
-    report = verify_collapse_structure(cg, args.cap)
+    report = verify_collapse_structure(cg)
     dot = cg.to_dot()
     body = {"report": report.to_json(), "dot": dot}
     lines = [f"{name} {'ok' if ok else 'VIOLATED'}" for name, ok in report.checks.items()]

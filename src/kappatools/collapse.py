@@ -7,6 +7,12 @@ the resulting "collapse graph" on the classes is a disjoint union of
 paths whose component count equals the class count after deletion and
 whose edge count equals the class count after contraction, which verifies
 the deletion/contraction recursion node by node.
+
+The lift adds up per-bit masks, so it is read through the chunk tables
+that key ν in `orientations`.  The build looks each lift up among the
+acyclic masks of the graph, which is the lift's one acyclicity test.  The
+structure check enumerates nothing: it names the classes after deletion
+by clicking each representative to its unique-source member.
 """
 
 from __future__ import annotations
@@ -18,50 +24,49 @@ from .graphs import EdgeKind, UnionFind, contraction_map
 from .kappa import kappa
 from .orientations import (
     Orientation,
+    _chunk_tables,
     _is_acyclic_bits,
     kappa_partition_bruteforce,
+    normalize_to_unique_source,
 )
 
 
 class _Lifter:
-    """Shared tables for lifting edge masks of simplify(contract(g, e))."""
+    """Shared tables for lifting edge masks of simplify(contract(g, e)).
+
+    Edge sid of the contraction lifts to the mask of the edges of g that
+    map onto it; an inherited edge whose endpoints swap order is flipped,
+    and direction 2 sets bit e.  `lift` tests nothing for acyclicity.
+    """
 
     def __init__(self, g, e):
         g._check_edge_id(e)
         if g.classify_edges()[e] is not EdgeKind.CYCLE_EDGE:
             raise GraphInputError(f"edge {e} is not a cycle-edge")
-        self.g = g
+        self.e = e
         u, v = g.edges[e]
         vmap = contraction_map(g.n_vertices, u, v)
         self.contracted = g.contract_edge(e).simplify()
         index = {pair: i for i, pair in enumerate(self.contracted.edges)}
-        table = []
+        sources = [0] * self.contracted.m
+        self.flipped = 0
         for f, (a, b) in enumerate(g.edges):
             if f == e:
-                table.append(None)
                 continue
             p, q = vmap[a], vmap[b]
             if p == q:
-                raise GraphInputError(
-                    f"edge {f} is parallel to edge {e}; lift a simple graph"
-                )
-            table.append((index[(min(p, q), max(p, q))], p > q))
-        self.table = table
+                raise GraphInputError(f"edge {f} is parallel to edge {e}; lift a simple graph")
+            sources[index[(min(p, q), max(p, q))]] |= 1 << f
+            self.flipped |= (p > q) << f
+        self.tables = _chunk_tables(sources)
 
     def lift(self, bits, direction):
         """The mask of g lifted from a mask of the contraction."""
         if direction not in (1, 2):
             raise GraphInputError(f"direction must be 1 or 2, got {direction}")
-        lifted = 0
-        for f, entry in enumerate(self.table):
-            if entry is None:
-                if direction == 2:
-                    lifted |= 1 << f
-                continue
-            sid, flip = entry
-            lifted |= (((bits >> sid) & 1) ^ flip) << f
-        if not _is_acyclic_bits(self.g, lifted):
-            raise InternalInvariantError("lift produced a cyclic orientation")
+        lifted = self.flipped | (direction - 1) << self.e
+        for low, table in self.tables:
+            lifted ^= table[bits >> low & 0x7FF]
         return lifted
 
 
@@ -75,7 +80,12 @@ def lift_orientation(o_contracted, direction, g, e):
     lifter = _Lifter(g, e)
     if o_contracted.graph != lifter.contracted:
         raise GraphInputError("orientation does not belong to the simplified contraction")
-    return Orientation(g, lifter.lift(o_contracted.bits, direction))
+    if not _is_acyclic_bits(lifter.contracted, o_contracted.bits):
+        raise GraphInputError("orientation is not acyclic")
+    lifted = lifter.lift(o_contracted.bits, direction)
+    if not _is_acyclic_bits(g, lifted):
+        raise InternalInvariantError("lift produced a cyclic orientation")
+    return Orientation(g, lifted)
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,8 @@ def build_collapse_graph(g, e, cap=None):
     contraction contributes one edge joining the classes of its two lifts.
     Both partitions are computed here, under the same brute-force cap.
     Well-definedness is asserted by lifting every member, not just the
-    representative.
+    representative.  The partition of g holds exactly its acyclic masks,
+    so a lift it lacks is a cyclic lift, an internal invariant failing.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops")
@@ -144,15 +155,13 @@ def build_collapse_graph(g, e, cap=None):
     partition = kappa_partition_bruteforce(g, cap)
     lifter = _Lifter(g, e)
     contracted_partition = kappa_partition_bruteforce(lifter.contracted, cap)
+    index = partition._index
     edges = []
     for cls, rep in zip(contracted_partition.classes, contracted_partition.representatives):
-        ends = {
-            (
-                partition.class_of_bits(lifter.lift(bits, 1)),
-                partition.class_of_bits(lifter.lift(bits, 2)),
-            )
-            for bits in cls
-        }
+        try:
+            ends = {(index[lifter.lift(bits, 1)], index[lifter.lift(bits, 2)]) for bits in cls}
+        except KeyError:
+            raise InternalInvariantError("lift produced a cyclic orientation") from None
         if len(ends) != 1:
             raise InternalInvariantError(
                 "lifting is not constant on a click-class of the contraction"
@@ -178,11 +187,14 @@ class CollapseReport:
         }
 
 
-def verify_collapse_structure(cg, cap=None):
+def verify_collapse_structure(cg):
     """Check every structural claim about a built collapse graph.
 
     Returns a report; a failed check lands in `violations` rather than
-    raising, so callers can surface exactly which claim broke.
+    raising, so callers can surface exactly which claim broke.  No mask
+    set is enumerated: the counts after deletion and contraction come from
+    `kappa`, and the classes after deletion are named by clicking, so the
+    check runs on any graph the collapse graph was built for.
     """
     checks = {}
     n_nodes = cg.partition.class_count
@@ -214,15 +226,17 @@ def verify_collapse_structure(cg, cap=None):
 
     # Deleting e must merge exactly the classes lying on one component:
     # one class per component, a different one for each.  A representative
-    # reads on the deleted graph with bit e dropped.
-    deleted_partition = kappa_partition_bruteforce(deleted, cap)
+    # reads on the deleted graph with bit e dropped.  G - e is connected, so
+    # its class is named by its one member whose only source is vertex 0,
+    # reached by clicks: nothing shared with the ν key that built the classes.
     below = (1 << cg.cycle_edge) - 1
     block_of = {node: bi for bi, block in enumerate(blocks) for node in block}
-    reps = [cls[0] for cls in cg.partition.classes]
-    pairs = {
-        (block_of[node], deleted_partition.class_of_bits(rep & below | (rep >> 1) & ~below))
-        for node, rep in enumerate(reps)
-    }
+
+    def named(rep):
+        dropped = Orientation(deleted, rep & below | (rep >> 1) & ~below)
+        return normalize_to_unique_source(dropped, 0)[0].bits
+
+    pairs = {(block_of[node], named(cls[0])) for node, cls in enumerate(cg.partition.classes)}
     after = {cls for _, cls in pairs}
     checks["deletion_merges_whole_components"] = len(pairs) == len(blocks) == len(after)
 

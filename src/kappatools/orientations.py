@@ -290,6 +290,20 @@ def _click_class_masks(g, cap):
     return tuple(tuple(masks[i] for i in block) for block in uf.groups())
 
 
+def _chunk_tables(weights):
+    """(low, table) per 11-bit chunk of a mask over len(weights) bits:
+    table[c] is the sum of the weights of the bits set in the chunk value
+    c, so a map that adds up per-bit weights reads a mask as
+    Σ table[bits >> low & 0x7FF], one lookup per chunk."""
+    tables = []
+    for low in range(0, len(weights), 11):
+        table = [0]
+        for weight in weights[low:low + 11]:
+            table += [key + weight for key in table]
+        tables.append((low, table))
+    return tables
+
+
 def _nu_classes(s):
     """The acyclic masks of the simple graph s grouped by ν on its
     fundamental cycles.  The masks come ascending and a class is placed
@@ -302,8 +316,8 @@ def _nu_classes(s):
     each it walks up.  A mask's key, the sum of its edges' weights, is then
     Σ g_i << shift_i; each g_i + |up_i| fits its digit, so equal keys mean
     equal ν on every fundamental cycle.  The key is linear in the bits, so
-    a table per 11-bit chunk of the mask holds the key of every chunk
-    value, and a mask costs one lookup and one addition per chunk.
+    `_chunk_tables` holds the key of every value of each 11-bit chunk of
+    the mask, and a mask costs one lookup and one addition per chunk.
     """
     weights = [0] * s.m
     shift = 0
@@ -311,12 +325,7 @@ def _nu_classes(s):
         for e in range(s.m):
             weights[e] += ((down >> e & 1) - (up >> e & 1)) << shift
         shift += (up | down).bit_count().bit_length()
-    tables = []
-    for low in range(0, s.m, 11):
-        table = [0]
-        for weight in weights[low:low + 11]:
-            table += [key + weight for key in table]
-        tables.append((low, table))
+    tables = _chunk_tables(weights)
     classes = defaultdict(list)
     for bits in _acyclic_masks(s):
         key = 0

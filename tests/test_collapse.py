@@ -17,7 +17,7 @@ from kappatools.corpus import (
     cycle_graph,
     random_connected_graph,
 )
-from kappatools.errors import GraphInputError
+from kappatools.errors import GraphInputError, InternalInvariantError
 from kappatools.graphs import EdgeKind, Multigraph
 from kappatools.orientations import (
     Orientation,
@@ -95,34 +95,59 @@ def test_lift_keeps_every_inherited_direction():
     # Project each lift back with a relabelling written here, not the
     # library's: v merges into u < v and labels above v shift down.
     rng = random.Random(23)
-    lifts = 0
+    cases = []
     for _ in range(20):
         g = random_connected_graph(rng, max_edges=9, max_vertices=6)
-        for e, kind in enumerate(g.classify_edges()):
-            if kind is not EdgeKind.CYCLE_EDGE:
-                continue
-            lifter = _Lifter(g, e)
-            gc = lifter.contracted
-            u, v = g.edges[e]
+        kinds = g.classify_edges()
+        cases += [(g, e) for e, kind in enumerate(kinds) if kind is EdgeKind.CYCLE_EDGE]
+    # C13 contracts to C12, whose 12 edges span two 11-bit lift tables.
+    cases.append((cycle_graph(13), 0))
+    lifts = 0
+    for g, e in cases:
+        lifter = _Lifter(g, e)
+        gc = lifter.contracted
+        u, v = g.edges[e]
 
-            def image(x):
-                return u if x == v else (x - 1 if x > v else x)
+        def image(x):
+            return u if x == v else (x - 1 if x > v else x)
 
-            for o in enumerate_acyclic(gc):
-                for d in (1, 2):
-                    lifted = Orientation(g, lifter.lift(o.bits, d))
-                    assert (lifted.bits >> e) & 1 == d - 1
-                    projected = {}
-                    for f in range(g.m):
-                        if f == e:
-                            continue
-                        tail, head = map(image, lifted.arc(f))
-                        sid = gc.edges.index((min(tail, head), max(tail, head)))
-                        bit = int(tail > head)
-                        assert projected.setdefault(sid, bit) == bit
-                    assert sum(bit << sid for sid, bit in projected.items()) == o.bits
-                    lifts += 1
-    assert lifts > 1000
+        for o in enumerate_acyclic(gc):
+            for d in (1, 2):
+                lifted = Orientation(g, lifter.lift(o.bits, d))
+                assert (lifted.bits >> e) & 1 == d - 1
+                projected = {}
+                for f in range(g.m):
+                    if f == e:
+                        continue
+                    tail, head = map(image, lifted.arc(f))
+                    sid = gc.edges.index((min(tail, head), max(tail, head)))
+                    bit = int(tail > head)
+                    assert projected.setdefault(sid, bit) == bit
+                assert sum(bit << sid for sid, bit in projected.items()) == o.bits
+                lifts += 1
+    assert gc.m == 12  # the last case, C13, did reach the second table
+    assert lifts > 1000 + 2 * (2**12 - 2)
+
+
+def test_lift_rejects_a_cyclic_orientation():
+    # C4 at edge 0 contracts to a triangle whose masks 3 and 4 are its two
+    # directed cycles; one direction of each lifts to an acyclic mask of C4.
+    g = cycle_graph(4)
+    gc = contracted_graph(g, 0)
+    for bits in (3, 4):
+        o = Orientation(gc, bits)
+        assert not is_acyclic(o)
+        for d in (1, 2):
+            with pytest.raises(GraphInputError, match="orientation is not acyclic"):
+                lift_orientation(o, d, g, 0)
+
+
+def test_build_reports_a_cyclic_lift_as_an_invariant_failure(monkeypatch):
+    g = cycle_graph(4)
+    cyclic = next(b for b in range(1 << g.m) if not is_acyclic(Orientation(g, b)))
+    monkeypatch.setattr(_Lifter, "lift", lambda self, bits, direction: cyclic)
+    with pytest.raises(InternalInvariantError, match="cyclic"):
+        build_collapse_graph(g, 0)
 
 
 def test_triangle_collapse_is_one_edge():
@@ -164,6 +189,18 @@ def test_k4_collapse_counts():
     assert report.counts["edges"] == 2
     assert report.counts["components"] == 4
     assert report.counts["nodes"] == 6
+
+
+def test_structure_check_runs_past_the_brute_force_cap():
+    # K7 plus a pendant edge: m = 22, so G - e has 21 edges, past the
+    # default cap of 20; the check enumerates no mask set, so it needs none.
+    k7 = complete_graph(7)
+    g = Multigraph(8, k7.edges + ((6, 7),))
+    cg = build_collapse_graph(g, 0, cap=22)
+    report = verify_collapse_structure(cg)
+    assert report.ok
+    counts = {k: report.counts[k] for k in ("nodes", "edges", "components")}
+    assert counts == {"nodes": 720, "edges": 120, "components": 600}
 
 
 def test_build_rejects_disconnected():
