@@ -7,6 +7,9 @@ computation per invocation, and emits text or versioned JSON.  Exit codes:
 3 size cap exceeded or recursion too deep, 4 internal invariant or
 cross-engine verification failure.  Only the brute-force commands take
 `--cap` (or read KAPPA_BRUTE_CAP), and only `verify` takes `--seed`.
+`alpha`, `transversal` and the open-path `nu` enumerate the input as
+given, so the cap reads its edge count; `classes`, `verify` and the
+closed-path `nu` partition simplify(G), so the cap reads that graph's.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from .orientations import (
     DEFAULT_BRUTE_FORCE_CAP,
     PathSpec,
     _click_class_masks,
+    _normalize_bits,
+    _unique_source_masks,
     acyclic_masks,
     kappa_partition_bruteforce,
-    normalize_to_unique_source,
     nu_bits,
     unique_source_orientations,
 )
@@ -178,16 +182,26 @@ def _cmd_nu(args):
     spec = PathSpec.from_json(raw)
     g, descriptor = _read_input(args)
     if spec.closed:
-        # Edge ids name the input's edge lines; the representatives live
-        # on simplify(g), where the vertices alone fix every step.
+        # The representatives live on simplify(g).  Edge ids name the
+        # input's edge lines, so a path that gives them is read on the
+        # input, where each representative lifts: every parallel copy takes
+        # the bit of the copy simplify kept, since an acyclic orientation
+        # directs parallel copies alike.  Without edge ids the vertices
+        # alone fix every step on simplify(g).
         if spec.edge_choice is not None:
-            spec.resolve(g)
+            up, down = spec.edge_masks(g)
         part = kappa_partition_bruteforce(g, args.cap)
-        up, down = PathSpec(spec.vertices, spec.closed).edge_masks(part.graph)
         reps = [cls[0] for cls in part.classes]
+        if spec.edge_choice is None:
+            up, down = spec.edge_masks(part.graph)
+            read = reps
+        else:
+            kept = {edge: i for i, edge in enumerate(part.graph.edges)}
+            copies = [kept[edge] for edge in g.edges]
+            read = [sum((rep >> s & 1) << f for f, s in enumerate(copies)) for rep in reps]
         values = [
-            {"class": i, "representative": f"{rep:x}", "nu": nu_bits(rep, up, down)}
-            for i, rep in enumerate(reps)
+            {"class": i, "representative": f"{rep:x}", "nu": nu_bits(bits, up, down)}
+            for i, (rep, bits) in enumerate(zip(reps, read))
         ]
         lines = [
             f"class {v['class']} representative {v['representative']}: {v['nu']}"
@@ -206,19 +220,19 @@ def _cmd_nu(args):
     return 0
 
 
-def _transversal_ok(part, cap):
-    """At every vertex v of the connected graph: the unique-source
-    orientations meet each class exactly once, and normalizing each
-    class representative to source v lands on that class's member."""
-    for v in range(part.graph.n_vertices):
-        found = unique_source_orientations(part.graph, v, cap)
-        hit_classes = sorted(part.class_of_bits(o.bits) for o in found)
-        if hit_classes != list(range(part.class_count)):
+def _transversal_ok(part):
+    """At every vertex v of the connected graph: the unique-source masks
+    meet each class exactly once, and normalizing each class's least
+    member to source v lands on that class's unique-source mask.  The
+    partition checked the graph, so the mask cores run unchecked."""
+    g = part.graph
+    for v in range(g.n_vertices):
+        found = _unique_source_masks(g, v)
+        hit = [part.class_of_bits(bits) for bits in found]
+        if sorted(hit) != list(range(part.class_count)):
             return False
-        unique = {o.bits for o in found}
-        for i, rep in enumerate(part.representatives):
-            target, _ = normalize_to_unique_source(rep, v)
-            if part.class_of_bits(target.bits) != i or target.bits not in unique:
+        for i, bits in zip(hit, found):
+            if _normalize_bits(g, part.classes[i][0], v)[0] != bits:
                 return False
     return True
 
@@ -235,7 +249,7 @@ def _verify_graph(g, cap):
     # The partition groups the masks by ν on cycles, which gives the cut
     # classes; the closure of the click graph is the independent algorithm
     # it must match.
-    cut_ok = part.classes == _click_class_masks(part.graph, cap)
+    cut_ok = part.classes == _click_class_masks(part.graph)
     connected = g.is_connected
 
     checks = {
@@ -252,7 +266,7 @@ def _verify_graph(g, cap):
         },
         "cut_equivalence": {"ok": cut_ok},
         "transversal": {
-            "ok": not connected or _transversal_ok(part, cap),
+            "ok": not connected or _transversal_ok(part),
             "skipped": not connected,
         },
     }

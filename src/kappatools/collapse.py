@@ -26,8 +26,8 @@ from .orientations import (
     Orientation,
     _chunk_tables,
     _is_acyclic_bits,
+    _normalize_bits,
     kappa_partition_bruteforce,
-    normalize_to_unique_source,
 )
 
 
@@ -36,7 +36,8 @@ class _Lifter:
 
     Edge sid of the contraction lifts to the mask of the edges of g that
     map onto it; an inherited edge whose endpoints swap order is flipped,
-    and direction 2 sets bit e.  `lift` tests nothing for acyclicity.
+    and direction 2 sets bit e.  `lift` checks neither the direction nor
+    acyclicity.
     """
 
     def __init__(self, g, e):
@@ -62,8 +63,6 @@ class _Lifter:
 
     def lift(self, bits, direction):
         """The mask of g lifted from a mask of the contraction."""
-        if direction not in (1, 2):
-            raise GraphInputError(f"direction must be 1 or 2, got {direction}")
         lifted = self.flipped | (direction - 1) << self.e
         for low, table in self.tables:
             lifted ^= table[bits >> low & 0x7FF]
@@ -82,6 +81,8 @@ def lift_orientation(o_contracted, direction, g, e):
         raise GraphInputError("orientation does not belong to the simplified contraction")
     if not _is_acyclic_bits(lifter.contracted, o_contracted.bits):
         raise GraphInputError("orientation is not acyclic")
+    if direction not in (1, 2):
+        raise GraphInputError(f"direction must be 1 or 2, got {direction}")
     lifted = lifter.lift(o_contracted.bits, direction)
     if not _is_acyclic_bits(g, lifted):
         raise InternalInvariantError("lift produced a cyclic orientation")
@@ -233,8 +234,7 @@ def verify_collapse_structure(cg):
     block_of = {node: bi for bi, block in enumerate(blocks) for node in block}
 
     def named(rep):
-        dropped = Orientation(deleted, rep & below | (rep >> 1) & ~below)
-        return normalize_to_unique_source(dropped, 0)[0].bits
+        return _normalize_bits(deleted, rep & below | (rep >> 1) & ~below, 0)[0]
 
     pairs = {(block_of[node], named(cls[0])) for node, cls in enumerate(cg.partition.classes)}
     after = {cls for _, cls in pairs}

@@ -12,11 +12,14 @@ masks rather than 2^m (`_acyclic_masks`).  `_peels`, which peels sources
 off one mask, is the check for a single mask and the oracle the search is
 tested against.  `_unique_source_masks` runs the same search but also
 ends a branch at an edge into the chosen source or at a second source,
-so it never builds the acyclic masks it would drop.  All entry points
-reject loops, which
-admit no acyclic orientation; graphs with parallel edges are partitioned
-after simplification (anti-parallel pairs are 2-cycles, so co-direction is
-forced and nothing is lost).
+so it never builds the acyclic masks it would drop.  `_normalize_bits`
+clicks one acyclic mask to its unique-source member.  The public entry
+points check what comes from outside: they reject loops, which admit no
+acyclic orientation, and check vertices, connectivity, acyclicity and the
+cap.  The private cores check nothing, and the library hands them only
+graphs and masks it has checked or produced.  Graphs with parallel edges
+are partitioned after simplification (anti-parallel pairs are 2-cycles, so
+co-direction is forced and nothing is lost).
 
 Pretzel (Order 1986) shows that the click classes, the cut-equivalence
 classes and the classes of ν on cycles agree; ν is additive over the cycle
@@ -264,17 +267,16 @@ class KappaPartition:
         return self.classes
 
 
-def _click_class_masks(g, cap):
+def _click_class_masks(g):
     """Connected components of the click graph over the acyclic masks of g.
 
     A click reverses every edge at a source, so it keeps the mask acyclic.
     g may have parallel edges (forced co-directed); the caller decides
-    whether to simplify first.  Classes and masks come out ascending.  No
-    library call uses it: it is `verify`'s check on `_nu_classes`, which
-    shares no step with it past the masks, and the tests' oracle.
+    whether to simplify first, and checks loops and the cap.  Classes and
+    masks come out ascending.  No library call uses it: it is `verify`'s
+    check on `_nu_classes`, which shares no step with it past the masks,
+    and the tests' oracle.
     """
-    _require_loop_free(g)
-    _check_cap(g, cap)
     out, incident = _bit_tables(g)
     clicks = [(incident[v], out[v]) for v in range(g.n_vertices) if incident[v]]
     masks = _acyclic_masks(g)
@@ -614,26 +616,19 @@ def unique_source_orientations(g, v, cap=None):
     return [Orientation(g, bits) for bits in _unique_source_masks(g, v)]
 
 
-def normalize_to_unique_source(o, v):
-    """Click non-v sources (smallest label first) until v is the only source.
+def _normalize_bits(g, bits, v):
+    """Click non-v sources of the acyclic mask `bits` of connected g,
+    smallest label first, until v is the only source; checks nothing.
 
-    Returns the final orientation and the click sequence used.  In-degrees
-    are kept per vertex and the non-v sources in a min-heap: a click turns
-    its source into a sink and can only free its neighbours, and no source
-    is adjacent to another, so the heap never holds a stale entry and
-    popping it gives the smallest current source.  Termination is
-    guaranteed for connected graphs; a guard of 2^m * n iterations turns a
-    failure to terminate into an internal-invariant error.
+    Returns the final mask and the click sequence used.  In-degrees are
+    kept per vertex and the non-v sources in a min-heap: a click turns its
+    source into a sink and can only free its neighbours, and no source is
+    adjacent to another, so the heap never holds a stale entry and popping
+    it gives the smallest current source.  Termination is guaranteed for
+    connected graphs; a guard of 2^m * n iterations turns a failure to
+    terminate into an internal-invariant error.
     """
-    g = o.graph
-    if not (0 <= v < g.n_vertices):
-        raise GraphInputError(f"vertex {v} out of range")
-    if not g.is_connected:
-        raise GraphInputError("graph must be connected")
-    if not _is_acyclic_bits(g, o.bits):
-        raise GraphInputError("orientation is not acyclic")
     out, incident = _bit_tables(g)
-    bits = o.bits
     indeg = [((bits ^ out[w]) & incident[w]).bit_count() for w in range(g.n_vertices)]
     heap = [w for w, d in enumerate(indeg) if not d and w != v]  # ascending: a heap
     seq = []
@@ -652,7 +647,24 @@ def normalize_to_unique_source(o, v):
             indeg[w] -= 1
             if not indeg[w] and w != v:
                 heapq.heappush(heap, w)
-    return Orientation(g, bits), tuple(seq)
+    return bits, tuple(seq)
+
+
+def normalize_to_unique_source(o, v):
+    """Click non-v sources (smallest label first) until v is the only source.
+
+    Returns the final orientation and the click sequence used
+    (`_normalize_bits`), after checking v, connectivity and acyclicity.
+    """
+    g = o.graph
+    if not (0 <= v < g.n_vertices):
+        raise GraphInputError(f"vertex {v} out of range")
+    if not g.is_connected:
+        raise GraphInputError("graph must be connected")
+    if not _is_acyclic_bits(g, o.bits):
+        raise GraphInputError("orientation is not acyclic")
+    bits, seq = _normalize_bits(g, o.bits, v)
+    return Orientation(g, bits), seq
 
 
 def orientation_from_permutation(g, perm):

@@ -155,7 +155,7 @@ def test_c05_collapse_structure(small_collapses):
 def test_c06_cut_equivalence_matches_click_classes(small_corpus, small_partitions):
     failures = []
     for g in small_corpus:
-        clicks = _click_class_masks(g.simplify(), None)
+        clicks = _click_class_masks(g.simplify())
         if cut_equivalence_classes(g) != clicks or small_partitions[g].classes != clicks:
             failures.append(g)
     ok = not failures

@@ -196,10 +196,8 @@ def verify_checks(capsys, path):
 
 
 def test_verify_catches_a_transversal_that_misses_a_class(capsys, monkeypatch, c5_file):
-    found = cli.unique_source_orientations
-    monkeypatch.setattr(
-        cli, "unique_source_orientations", lambda g, v, cap: found(g, v, cap)[1:]
-    )
+    found = cli._unique_source_masks
+    monkeypatch.setattr(cli, "_unique_source_masks", lambda g, v: found(g, v)[1:])
     code, checks = verify_checks(capsys, c5_file)
     assert code == 4
     assert checks["transversal"] == {"ok": False, "skipped": False}
@@ -207,16 +205,49 @@ def test_verify_catches_a_transversal_that_misses_a_class(capsys, monkeypatch, c
 
 
 def test_verify_catches_a_normalization_to_the_wrong_class(capsys, monkeypatch, c5_file):
-    normalize = cli.normalize_to_unique_source
+    normalize = cli._normalize_bits
 
-    def to_first_class(o, v):
-        first = orientations.kappa_partition_bruteforce(o.graph).representatives[0]
-        return normalize(first, v)
+    def to_first_class(g, bits, v):
+        first = orientations.kappa_partition_bruteforce(g).classes[0][0]
+        return normalize(g, first, v)
 
-    monkeypatch.setattr(cli, "normalize_to_unique_source", to_first_class)
+    monkeypatch.setattr(cli, "_normalize_bits", to_first_class)
     code, checks = verify_checks(capsys, c5_file)
     assert code == 4
     assert checks["transversal"] == {"ok": False, "skipped": False}
+
+
+def test_verify_and_collapse_peel_none_of_the_librarys_own_masks(capsys, monkeypatch, tmp_path):
+    # `_peels` checks a mask from outside; verify and collapse hand the
+    # mask cores only masks the library produced, so neither calls it.
+    peels = orientations._peels
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return peels(*args)
+
+    monkeypatch.setattr(orientations, "_peels", counted)
+    path = tmp_path / "k4.txt"
+    path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    for argv in (["verify", str(path)], ["collapse", str(path), "--edge", "0"]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert (argv[0], code, len(calls)) == (argv[0], 0, 0)
+
+
+def test_nu_closed_path_through_two_parallel_edges(capsys, tmp_path):
+    # Edges 0 and 1 join 0 and 1: the path walks one forward and the other
+    # back, so every class reads 0.  simplify(g) merges the two copies, and
+    # the path was once rejected there as using edge 0 twice.
+    path = tmp_path / "doubled.txt"
+    path.write_text("3 4\n0 1\n0 1\n1 2\n0 2\n")
+    for vertices in ([0, 1], [0, 1, 0]):
+        spec = {"vertices": vertices, "closed": True, "edges": [0, 1]}
+        code, out, err = run_cli(capsys, "nu", str(path), "--path", json.dumps(spec), "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [item["nu"] for item in payload["per_class"]] == [0, 0]
+        assert [item["representative"] for item in payload["per_class"]] == ["0", "1"]
 
 
 def test_alpha_reports_a_mismatch_as_exit_4(capsys, monkeypatch, c5_file):

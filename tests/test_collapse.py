@@ -74,8 +74,9 @@ def test_lift_rejects_bridges_and_loops():
 def test_lift_rejects_bad_direction():
     gc = contracted_graph(TRIANGLE, 0)
     o = enumerate_acyclic(gc)[0]
-    with pytest.raises(GraphInputError, match="direction"):
-        lift_orientation(o, 3, TRIANGLE, 0)
+    for direction in (0, 3):
+        with pytest.raises(GraphInputError, match="direction must be 1 or 2"):
+            lift_orientation(o, direction, TRIANGLE, 0)
 
 
 def test_lift_rejects_foreign_orientation():

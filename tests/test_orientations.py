@@ -355,7 +355,7 @@ def test_simplification_soundness_for_parallel_edges():
     rng = random.Random(99)
     for _ in range(40):
         g = random_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=False)
-        raw_classes = _click_class_masks(g, None)
+        raw_classes = _click_class_masks(g)
         simplified = kappa_partition_bruteforce(g)
         assert len(raw_classes) == simplified.class_count
 
@@ -520,7 +520,7 @@ def test_cut_equivalent_pairs_never_cross_classes():
         graphs.append(Multigraph(shift + b.n_vertices + 1, edges + (rng.choice(edges),)))
     for g in graphs:
         s = g.simplify()
-        clicks = _click_class_masks(s, None)
+        clicks = _click_class_masks(s)
         click_class = {bits: i for i, cls in enumerate(clicks) for bits in cls}
         orients = enumerate_acyclic(s)
         uf = UnionFind(len(orients))
@@ -538,7 +538,7 @@ def test_cut_closure_matches_click_partition_on_samples():
     rng = random.Random(31)
     graphs = [random_connected_graph(rng, max_edges=9, max_vertices=6) for _ in range(20)]
     for g in graphs + [grid_graph(3, 3)]:
-        clicks = _click_class_masks(g.simplify(), None)
+        clicks = _click_class_masks(g.simplify())
         assert cut_equivalence_classes(g) == kappa_partition_bruteforce(g).classes == clicks
 
 
@@ -579,7 +579,7 @@ def test_packed_key_on_doubled_edges():
              (5, 4), (2, 3), (3, 2))
     g = Multigraph(7, edges)
     expected = assert_packed_key_matches(g)
-    assert expected == _click_class_masks(g.simplify(), None)
+    assert expected == _click_class_masks(g.simplify())
     assert len(expected) == 2 * 3
 
 
@@ -592,7 +592,7 @@ def test_packed_key_at_a_digit_width_boundary(lengths):
     cycle_lengths = {(up | down).bit_count() for up, down in _fundamental_cycles(s)}
     assert cycle_lengths & {3, 7} and cycle_lengths & {4, 8}
     expected = assert_packed_key_matches(g)
-    assert expected == _click_class_masks(s, None)
+    assert expected == _click_class_masks(s)
 
 
 def test_packed_key_across_three_chunks():
