@@ -2,17 +2,20 @@
 
 One function, `_solve`, evaluates the Tutte polynomial on the line
 y = 0: `kappa` runs it at x = 1, and `tutte_eval(g, x, 0)` at any integer
-x (x = 2 counts acyclic orientations).  Three prunings come first:
-parallel edges collapse, each bridge contributes a factor x, and disjoint
-pieces multiply.  A piece that is a cycle C_m is answered in closed
-form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A sparse piece, one with
-fewer than DENSE_SHARE of all vertex pairs as edges, is answered by
-`frontier_sum`; a dense one by `_partition_counts`.
+x (x = 2 counts acyclic orientations).  Parallel edges collapse, and
+T multiplies over blocks, the 2-connected pieces that cut vertices
+separate: `_blocks` finds them all in one depth-first pass, and each
+bridge contributes a factor x.  A block that is a cycle C_m is answered
+in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A sparse
+block, one with fewer than DENSE_SHARE of all vertex pairs as edges, is
+answered by `frontier_sum`; a dense one by `_partition_counts`.
 
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
-ISAAC 1995).  `tutte._subset_counts` runs the same walk with other
-weights to build the full polynomial.
+ISAAC 1995), each partition a `bytes` key of one label per vertex, so
+no walk runs past a frontier of FRONTIER_CAP vertices.
+`tutte._subset_counts` runs the same walk with other weights to build
+the full polynomial.
 
 `_partition_counts` works on vertices instead: p_k, the number of
 partitions of the n vertices into k independent sets, gives the chromatic
@@ -27,24 +30,29 @@ piece has few independent sets, so the DP reaches few subsets.
 `kappa_with_trace` runs a separate recursion, `_trace`: the paper's
 deletion/contraction at x = 1, unmemoized, without the cycle rule, the
 frontier sum or the subset DP, so its tree is the complete unfolded
-recursion, and the one path here that recurses in Python.  It and
-`_solve` split a graph into pieces by the same helper, `_core`.
+recursion, and the one path here that recurses in Python.  It prunes
+bridges and splits components by `_core`, not into blocks, and names
+each node by the `memo_key` of the graph it meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 
 from .errors import CapExceededError, GraphInputError
-from .graphs import bfs_order, memo_key
+from .graphs import Multigraph, bfs_order, memo_key
 
 TRACE_LEAF_CAP = 10_000
 
 # Pieces with at least this share of all vertex pairs as edges go to the
 # subset DP; sparser ones to the frontier sum.
 DENSE_SHARE = 0.5
+
+# A frontier partition holds one block label per byte.
+FRONTIER_CAP = 255
 
 
 @dataclass
@@ -102,14 +110,19 @@ def frontier_sum(g, take, close, scale=mul):
 
     Those vertices are taken in `graphs.bfs_order`, each edge at its later
     endpoint, and a vertex leaves the frontier after its last edge.  For
-    every canonical partition of the frontier vertices (block labels in
-    order of first occurrence) one integer holds the summed weight of the
-    subsets reaching it.  Taking an edge scales a weight by `take`.  A
-    block that leaves the frontier while other blocks remain open scales
-    it by `close`; the last block of a component does not, since the
-    breadth-first order keeps each component contiguous.  A weight that
-    becomes 0 is dropped.  `scale` is the scaling: `mul`, or `lshift`
-    when take and close are shift amounts.
+    every canonical partition of the frontier vertices one integer holds
+    the summed weight of the subsets reaching it.  A partition is a
+    `bytes` key, one block label per frontier slot, labels numbered in
+    order of first occurrence; a vertex's first edge back appends its
+    slot, with a new label if the edge is skipped and the other end's if
+    it is taken, and merging or dropping blocks is one `bytes.translate`.
+    Taking an edge scales a weight by `take`.  A block that leaves the
+    frontier while other blocks remain open scales it by `close`; the
+    last block of a component does not, since the breadth-first order
+    keeps each component contiguous.  A weight that becomes 0 is dropped.
+    `scale` is the scaling: `mul`, or `lshift` when take and close are
+    shift amounts.  A walk whose frontier would pass FRONTIER_CAP vertices
+    raises CapExceededError before it starts.
     """
     degree = g.degrees
     order = [v for v in bfs_order(g) if degree[v]]
@@ -117,28 +130,41 @@ def frontier_sum(g, take, close, scale=mul):
     for i, v in enumerate(order):
         pos[v] = i
     edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in g.edges)
-    last = {}
+    last = [0] * len(order)
     for i, (hi, lo) in enumerate(edges):
         last[hi] = last[lo] = i
-    states = {(): 1}
+    width = _frontier_width(edges, last)
+    if width > FRONTIER_CAP:
+        raise CapExceededError("frontier", width, FRONTIER_CAP, unit="vertices")
+    states = {b"": 1}
     frontier = []
     i = 0
     for p in range(len(order)):
         frontier.append(p)
-        states = {
-            blocks + (max(blocks, default=-1) + 1,): weight
-            for blocks, weight in states.items()
-        }
+        if i == len(edges) or edges[i][0] != p:
+            # the first vertex of a component: no edge back, a block of its own
+            states = {
+                blocks + _LABEL[max(blocks, default=-1) + 1]: weight
+                for blocks, weight in states.items()
+            }
+        first = True
         while i < len(edges) and edges[i][0] == p:
-            ia, ib = frontier.index(edges[i][1]), len(frontier) - 1
-            out = dict(states)
-            for blocks, weight in states.items():
-                lo, hi = blocks[ia], blocks[ib]
-                if lo != hi:
-                    if lo > hi:
-                        lo, hi = hi, lo
-                    blocks = tuple([lo if b == hi else b - (b > hi) for b in blocks])
-                out[blocks] = out.get(blocks, 0) + scale(weight, take)
+            ia = frontier.index(edges[i][1])
+            out = {}
+            if first:
+                for blocks, weight in states.items():
+                    out[blocks + _LABEL[max(blocks) + 1]] = weight
+                    out[blocks + blocks[ia : ia + 1]] = scale(weight, take)
+                first = False
+            else:
+                out.update(states)
+                for blocks, weight in states.items():
+                    lo, hi = blocks[ia], blocks[-1]
+                    if lo != hi:
+                        if lo > hi:
+                            lo, hi = hi, lo
+                        blocks = blocks.translate(_MERGE[lo << 8 | hi])
+                    out[blocks] = out.get(blocks, 0) + scale(weight, take)
             states = out
             for v in edges[i]:
                 if last[v] == i:
@@ -148,22 +174,57 @@ def frontier_sum(g, take, close, scale=mul):
     return sum(states.values())
 
 
+def _frontier_width(edges, last):
+    """The most vertices the walk's frontier holds at once: vertex q holds
+    a slot from its own step to the step of its last edge's later end."""
+    delta = [0] * (len(last) + 1)
+    for q, i in enumerate(last):
+        delta[q] += 1
+        delta[edges[i][0] + 1] -= 1
+    return max(accumulate(delta))
+
+
+class _Tables(dict):
+    """`bytes.translate` tables, each built on first use, one per label
+    pair (a, b) under the key a << 8 | b."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        a, b = divmod(key, 256)
+        table = self[key] = bytes([self.make(a, b, x) for x in range(256)])
+        return table
+
+
+# block b joins block a <= b, and the labels above b move down one
+_MERGE = _Tables(lambda a, b, x: a if x == b else x - (x > b))
+# block b moves past the t blocks b+1..b+t, which move down one
+_ROTATE = _Tables(lambda b, t, x: b + t if x == b else x - (b < x <= b + t))
+_LABEL = [bytes([x]) for x in range(256)]
+
+
 def _retire(states, j, close, scale):
     """Drop frontier slot j from every partition.  A block that loses its
-    last frontier vertex while other blocks remain is scaled by `close`."""
+    last frontier vertex while other blocks remain is scaled by `close`;
+    one whose first slot was j moves behind the blocks first seen before
+    its next slot."""
     out = {}
     for blocks, weight in states.items():
         b = blocks[j]
         rest = blocks[:j] + blocks[j + 1 :]
-        if b not in rest:
+        k = rest.find(b)
+        if k < 0:
             if rest:
                 weight = scale(weight, close)
                 if not weight:
                     continue
-            rest = tuple([x - (x > b) for x in rest])
-        elif b not in blocks[:j]:
-            relabel = {}
-            rest = tuple([relabel.setdefault(x, len(relabel)) for x in rest])
+                rest = rest.translate(_MERGE[b << 8 | b])
+        elif k > j:
+            t = max(rest[j:k]) - b
+            if t > 0:
+                rest = rest.translate(_ROTATE[b << 8 | t])
         out[rest] = out.get(rest, 0) + weight
     return out
 
@@ -232,11 +293,80 @@ def _core(g):
     return s, s.cycle_subgraph().drop_isolated()
 
 
+def _blocks(g):
+    """The blocks of simplify(g), its 2-connected pieces and bridges, by
+    one depth-first pass (Hopcroft and Tarjan, CACM 1973).
+
+    Returns the number of bridges and one graph per block with two or
+    more edges, its vertices relabelled in ascending order and its edges
+    in simplify(g)'s order.  Each edge is stacked when the search first
+    meets it; a vertex whose subtree reaches no higher than its parent
+    closes a block, the edges stacked since the tree edge to it, and each
+    tree edge notes the stack height it found.
+    """
+    edges = list(dict.fromkeys(e for e in g.edges if e[0] != e[1]))
+    n = g.n_vertices
+    inc = [[] for _ in range(n)]
+    for eid, (a, b) in enumerate(edges):
+        inc[a].append((eid, b))
+        inc[b].append((eid, a))
+    disc = [-1] * n
+    low = [0] * n
+    stacked = []
+    bridges = 0
+    blocks = []
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = timer
+        timer += 1
+        # frames: (vertex, entering edge id, incidence iterator, stack height)
+        stack = [(root, -1, iter(inc[root]), 0)]
+        while stack:
+            v, in_edge, it, height = stack[-1]
+            for eid, w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, eid, iter(inc[w]), len(stacked)))
+                    stacked.append(eid)
+                    break
+                if disc[w] < disc[v] and eid != in_edge:
+                    stacked.append(eid)
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] < disc[u]:
+                    continue
+                piece = stacked[height:]
+                del stacked[height:]
+                if len(piece) == 1:
+                    bridges += 1
+                    continue
+                piece.sort()
+                vertices = sorted({x for eid in piece for x in edges[eid]})
+                label = {x: i for i, x in enumerate(vertices)}
+                blocks.append(
+                    Multigraph(
+                        len(vertices),
+                        tuple((label[edges[e][0]], label[edges[e][1]]) for e in piece),
+                    )
+                )
+    return bridges, blocks
+
+
 def _solve(g, x, stats):
     """T(g; x, 0) of a loop-free multigraph; `stats` counts the subset DP."""
-    s, core = _core(g)
-    value = x ** (s.m - core.m)
-    for c in core.split_components():
+    bridges, blocks = _blocks(g)
+    value = x**bridges
+    for c in blocks:
         n = c.n_vertices
         if c.m == n:
             value *= _cycle_value(n, x)
@@ -284,12 +414,13 @@ def kappa(g):
     """Number of click-equivalence classes of acyclic orientations of g.
 
     Parallel edges are fine (they collapse); loops are rejected.  Dense
-    pieces go to the subset DP, one forward pass per piece; the subsets it
+    blocks go to the subset DP, one forward pass per block; the subsets it
     reached the first time (misses) and again (hits), summed over the
-    pieces of this call, are returned as `cache_stats`.  Cycle pieces
-    (closed form) and sparse pieces (the frontier sum) never reach the DP,
+    blocks of this call, are returned as `cache_stats`.  Cycle blocks
+    (closed form) and sparse blocks (the frontier sum) never reach the DP,
     so they count as neither hits nor misses.  Nothing here recurses in
-    Python, so no graph raises RecursionError.
+    Python, so no graph raises RecursionError; a sparse block whose
+    frontier would pass FRONTIER_CAP vertices raises CapExceededError.
     """
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")

@@ -9,9 +9,10 @@ frontier (the vertices seen that still have edges to come) it keeps the
 number of subsets per (corank, |A|), packed into one integer.  The work
 grows with the number of frontier partitions, not with 2^m.  Evaluations
 at y=0 do not build the polynomial: they run the one y=0 engine of
-`kappatools.kappa`, which answers sparse pieces with the same frontier
-walk and dense ones by a DP over vertex subsets, one forward pass by
-falling subset size, that counts partitions into independent sets.  So
+`kappatools.kappa`, which splits the graph into blocks and answers
+sparse blocks with the same frontier walk and dense ones by a DP over
+vertex subsets, one forward pass by falling subset size, that counts
+partitions into independent sets.  So
 this polynomial and that engine share code, and the checks independent
 of both are brute force (`orientations`), the subset-expansion oracle
 below and the closed forms of the tests.
@@ -155,11 +156,13 @@ def tutte_eval(g, x, y, cap=None):
     """Evaluate the Tutte polynomial of g at an integer point (x, y).
 
     At y=0 the engine of `kappatools.kappa` runs: a loop makes the value
-    0, parallel classes collapse, bridges factor out as powers of x,
-    cycles are summed in closed form, sparse pieces go to the frontier sum
-    and dense ones to the subset DP.  None of it recurses in Python, so
-    no graph raises RecursionError here.  Other points evaluate the full
-    polynomial of the frontier sum.
+    0, parallel classes collapse, the graph splits into blocks, bridges
+    factor out as powers of x, cycle blocks are summed in closed form,
+    sparse blocks go to the frontier sum and dense ones to the subset DP.
+    None of it recurses in Python, so no graph raises RecursionError
+    here.  Other points evaluate the full polynomial of the frontier sum.
+    A walk whose frontier would pass `kappa.FRONTIER_CAP` vertices raises
+    CapExceededError.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise GraphInputError("evaluation point must be a pair of integers")

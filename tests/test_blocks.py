@@ -1,0 +1,217 @@
+"""The y=0 engine's split into blocks and its frontier walk on long, wide
+and relabelled inputs.
+
+`_blocks` is checked against the subset-expansion oracle, which shares no
+code with it, and against the bridge and component helpers of `graphs`
+that the trace recursion still uses.  The walk is checked under many
+labellings, since the relabelling on retire only runs when a block's
+first frontier slot leaves before its later ones.
+"""
+
+import importlib
+import random
+import time
+from operator import mul
+
+import pytest
+
+from kappatools.cli import main
+from kappatools.corpus import random_multigraph
+from kappatools.errors import CapExceededError
+from kappatools.graphs import Multigraph
+from kappatools.kappa import FRONTIER_CAP, _blocks, _core, _retire, kappa
+from kappatools.tutte import tutte_eval, tutte_oracle_rank_nullity, tutte_polynomial
+
+# the package re-exports the function `kappa` under the module's name
+KAPPA_MODULE = importlib.import_module("kappatools.kappa")
+
+
+def friendship(k):
+    """F_k: k triangles (0, i, i + k) that share the hub 0."""
+    return Multigraph(
+        2 * k + 1, tuple(e for i in range(1, k + 1) for e in ((0, i), (0, i + k), (i, i + k)))
+    )
+
+
+def apex_friendship(k):
+    """F_k plus one apex joined to its 2k non-hub vertices: 2-connected and
+    sparse, but every breadth-first order meets a wide frontier."""
+    f = friendship(k)
+    apex = 2 * k + 1
+    return Multigraph(apex + 1, f.edges + tuple((i, apex) for i in range(1, apex)))
+
+
+def triangle_chain(k):
+    """k triangles (2i, 2i + 1, 2i + 2), each sharing a vertex with the next."""
+    return Multigraph(
+        2 * k + 1,
+        tuple(e for i in range(k) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))),
+    )
+
+
+def grid(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Multigraph(rows * cols, tuple(right + down))
+
+
+def wheel(n):
+    """W_n: hub 0 joined to every vertex of the rim cycle 1..n-1."""
+    k = n - 1
+    return Multigraph(
+        n, tuple((0, i) for i in range(1, n)) + tuple((i, i % k + 1) for i in range(1, n))
+    )
+
+
+PETERSEN = Multigraph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((i, i + 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+)
+
+
+def scrambled(g, rng):
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    edges = [(perm[b], perm[a]) if rng.random() < 0.5 else (perm[a], perm[b]) for a, b in g.edges]
+    rng.shuffle(edges)
+    return Multigraph(g.n_vertices, tuple(edges))
+
+
+def two_connected(g):
+    """Whether the edges of g span one 2-connected graph on 3 or more
+    vertices, by deleting each vertex in turn."""
+    s, _ = _core(g)
+    touched = {v for e in s.edges for v in e}
+    if len(touched) < 3:
+        return False
+    for cut in [None, *touched]:
+        kept = [e for e in s.edges if cut not in e]
+        seen, todo = set(), [next(v for v in touched if v != cut)]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(w for a, b in kept if v in (a, b) for w in (a, b))
+        if len(seen) != len(touched) - (cut is not None):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def block_corpus(small_corpus):
+    """The 772 small connected graphs and 300 seeded loop-free multigraphs
+    (parallel edges, isolated vertices, several components), m <= 12."""
+    rng = random.Random(61)
+    multigraphs = [random_multigraph(rng, 9, 12, allow_loops=False) for _ in range(300)]
+    assert any(g.m != g.simplify().m for g in multigraphs)
+    assert any(0 in g.degrees for g in multigraphs)
+    assert any(len([c for c in g.connected_components() if len(c) > 1]) > 1 for g in multigraphs)
+    return small_corpus + multigraphs
+
+
+def test_blocks_multiply_to_the_oracle(block_corpus):
+    for g in block_corpus:
+        bridges, blocks = _blocks(g)
+        whole = tutte_oracle_rank_nullity(g)
+        pieces = [tutte_oracle_rank_nullity(b) for b in blocks]
+        for x in (1, 2, 3):
+            product = x**bridges
+            for piece in pieces:
+                product *= piece.evaluate(x, 0)
+            assert product == whole.evaluate(x, 0), (g, x)
+
+
+def test_blocks_count_the_bridges_and_keep_every_edge(block_corpus):
+    for g in block_corpus:
+        s, core = _core(g)
+        bridges, blocks = _blocks(g)
+        assert bridges == s.m - core.m, g
+        assert bridges + sum(b.m for b in blocks) == s.m, g
+        assert all(b.m >= 2 for b in blocks), g
+
+
+def test_a_two_connected_graph_is_its_one_block(block_corpus):
+    # the block comes out as the bridge-and-component split gives it, so
+    # the frontier walk and the subset DP see the same labels as before
+    checked = 0
+    for g in block_corpus:
+        if two_connected(g):
+            piece = _core(g)[1].split_components()[0]
+            assert _blocks(g) == (0, [piece]), g
+            checked += 1
+        else:
+            bridges, blocks = _blocks(g)
+            assert bridges > 0 or len(blocks) != 1, g
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "g, value",
+    [
+        (Multigraph(100_001, tuple((i, i + 1) for i in range(100_000))), 1),
+        (triangle_chain(10_000), 2**10_000),
+        (friendship(300), 2**300),
+    ],
+    ids=["path-100001", "triangle-chain-10000", "friendship-300"],
+)
+def test_long_and_wide_inputs_stay_linear(g, value):
+    # a block search that looks up the tree edge on its edge stack is
+    # quadratic on the path; a split at bridges only leaves F_300 one
+    # piece with a 301-vertex frontier
+    start = time.perf_counter()
+    assert kappa(g).value == value
+    assert time.perf_counter() - start < 2
+
+
+def canonical_partitions(length):
+    """Every partition of `length` slots as labels in order of first use."""
+    keys = [b""]
+    for _ in range(length):
+        keys = [k + bytes([x]) for k in keys for x in range(max(k, default=-1) + 2)]
+    return keys
+
+
+def test_retire_keeps_partitions_canonical():
+    # a key that is not canonical still sums to the right value, so only
+    # the keys themselves show a relabelling that is skipped
+    for length in range(1, 7):
+        states = {k: w for w, k in enumerate(canonical_partitions(length), 1)}
+        for j in range(length):
+            expected = {}
+            for k, w in states.items():
+                rest = k[:j] + k[j + 1 :]
+                first = {}
+                key = bytes(first.setdefault(x, len(first)) for x in rest)
+                if k[j] not in rest and rest:
+                    w *= 3
+                expected[key] = expected.get(key, 0) + w
+            assert _retire(states, j, 3, mul) == expected, (length, j)
+
+
+@pytest.mark.parametrize("name, g", [("grid4x4", grid(4, 4)), ("W12", wheel(12)), ("petersen", PETERSEN)])
+def test_relabelled_walks_agree(name, g):
+    expected = (kappa(g).value, tutte_eval(g, 2, 0), tutte_polynomial(g))
+    rng = random.Random(f"relabel:{name}")
+    for _ in range(20):
+        h = scrambled(g, rng)
+        assert (kappa(h).value, tutte_eval(h, 2, 0), tutte_polynomial(h)) == expected, h
+
+
+def test_a_wide_frontier_is_refused_before_the_walk(monkeypatch, tmp_path, capsys):
+    def no_state(*args):
+        raise AssertionError("the walk made a state")
+
+    monkeypatch.setattr(KAPPA_MODULE, "_retire", no_state)
+    g = apex_friendship(300)
+    assert _blocks(g) == (0, [g])
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as caught:
+        kappa(g)
+    assert time.perf_counter() - start < 1
+    assert (caught.value.size, caught.value.cap) == (302, FRONTIER_CAP)
+    path = tmp_path / "apex.txt"
+    path.write_text(g.to_edge_list_text())
+    assert main(["kappa", str(path)]) == 3
+    assert "frontier has 302 vertices" in capsys.readouterr().err
