@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappatools import orientations as orientations_module
 from kappatools.cli import main
 from kappatools.corpus import (
     complete_graph,
@@ -29,7 +30,9 @@ from kappatools.orientations import (
     _bit_tables,
     _click_class_masks,
     _fundamental_cycles,
+    _mask_walk,
     _peels,
+    _split_point,
     _unique_source_masks,
     acyclic_masks,
     apply_click_sequence,
@@ -246,6 +249,117 @@ def test_star_masks_with_centre_first_and_last(centre):
     leaves = [v for v in range(15) if v != centre]
     g = Multigraph(15, tuple((centre, v) for v in leaves))
     assert acyclic_masks(g) == tuple(range(1 << 14))
+
+
+# ----- the split walk -----
+
+def interface(g, split):
+    """The vertices with an edge below `split` and one at or above it."""
+    below = {x for edge in g.edges[:split] for x in edge}
+    above = {x for edge in g.edges[split:] for x in edge}
+    return below & above
+
+
+def check_every_split(g):
+    whole = _mask_walk(g, 0)
+    for split in range(1, g.m + 1):
+        assert _mask_walk(g, split) == whole, (g, split)
+
+
+def test_every_split_matches_the_unsplit_walk_on_the_corpus(small_corpus):
+    for g in small_corpus:
+        check_every_split(g)
+
+
+def test_every_split_matches_the_unsplit_walk_on_seeded_multigraphs():
+    seen = {"parallel": 0, "isolated": 0, "disconnected": 0}
+    for g in seeded_multigraphs(random.Random(20261019), 300, 7, 12):
+        check_every_split(g)
+        seen["parallel"] += len(set(g.edges)) < g.m
+        seen["isolated"] += 0 in g.degrees
+        seen["disconnected"] += len(g.connected_components()) > 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_split_walk_on_scrambled_cycles_gives_alpha(n):
+    """α(C_n) = 2^n - 2: every mask but the two directed cycles."""
+    rng = random.Random(n)
+    for _ in range(2):
+        g = scrambled(cycle_graph(n), rng)
+        assert _split_point(g)
+        masks = _acyclic_masks.__wrapped__(g)
+        assert len(masks) == 2**n - 2
+        assert all(x < y for x, y in zip(masks, masks[1:]))
+        missing = set(range(1 << n)).difference(masks)
+        full = (1 << n) - 1
+        assert not any(_peels(_bit_tables(g), full, bits) for bits in missing)
+
+
+def test_split_walk_matches_peel_on_scrambled_families():
+    wheel9 = Multigraph(
+        9, tuple([(0, v) for v in range(1, 9)] + [(v, v % 8 + 1) for v in range(1, 9)])
+    )
+    petersen = Multigraph(10, tuple(
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    ))
+    rng = random.Random(24)
+    for g in (wheel9, petersen, grid_graph(3, 3)):
+        h = scrambled(g, rng)
+        while not _split_point(h):
+            h = scrambled(g, rng)
+        assert _acyclic_masks.__wrapped__(h) == peeled_masks(h), h
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_no_split_on_complete_graphs(n):
+    assert _split_point(complete_graph(n)) == 0
+
+
+def test_no_split_on_scrambled_k5_and_k6():
+    rng = random.Random(56)
+    for n in (5, 6):
+        for _ in range(40):
+            assert _split_point(scrambled(complete_graph(n), rng)) == 0
+
+
+def test_no_split_on_parallel_edges_or_a_single_edge():
+    assert _split_point(Multigraph(2, ((0, 1),) * 3000)) == 0
+    assert _split_point(Multigraph(10**6 + 1, ((0, 10**6),))) == 0
+
+
+@pytest.mark.parametrize("n", range(7, 21))
+def test_natural_cycles_split_at_two_vertices(n):
+    g = cycle_graph(n)
+    split = _split_point(g)
+    assert split and len(interface(g, split)) == 2
+
+
+def test_no_split_below_seven_edges(small_corpus):
+    assert not any(_split_point(g) for g in small_corpus if g.m < 7)
+    assert not any(_split_point(cycle_graph(n)) for n in range(3, 7))
+
+
+def test_split_tables_live_for_one_call():
+    """The completions are tabled per call: nothing is left in the mask
+    cache or at module level, and the memory goes with the result."""
+    g = cycle_graph(18)
+    split = _split_point(g)
+    names = {name: id(value) for name, value in vars(orientations_module).items()}
+    info = _acyclic_masks.cache_info()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        masks = _mask_walk(g, split)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del masks
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert _acyclic_masks.cache_info() == info
+    assert {name: id(value) for name, value in vars(orientations_module).items()} == names
+    assert held > 1 << 20 and left < 1 << 12, (held, left)
 
 
 # ----- clicks -----
