@@ -5,6 +5,10 @@ position in the edge list (edge-ids 0..m-1); parallel edges and loops are
 permitted and each edge is stored canonically as (min, max).  All
 operations are persistent: they return new graph values and never
 renumber the edges of their input.
+
+`Multigraph.blocks` is the one depth-first split of a graph into blocks
+and bridges.  Edge classification, the bridgeless core and the y = 0
+engine's split (`kappa._blocks`) all read it.
 """
 
 from __future__ import annotations
@@ -146,44 +150,61 @@ class Multigraph:
     # ----- classification and components -----
 
     @cached_property
-    def _bridge_ids(self):
-        """Edge ids of bridges, found by one DFS pass (low-point method)."""
+    def blocks(self):
+        """The blocks of the loop-free edges, each as its ascending edge
+        ids, by one depth-first pass (Hopcroft and Tarjan, CACM 1973).
+
+        A bridge is a block of its own.  Parallel copies share a block:
+        each copy after the first is a back edge to the parent.  Each edge
+        is stacked when the search first meets it; a vertex whose subtree
+        reaches no higher than its parent closes a block, the edges stacked
+        since the tree edge to it, and each tree edge notes the stack
+        height it found.
+        """
         n = self.n_vertices
         inc = self._incidence
         disc = [-1] * n
         low = [0] * n
-        bridges = set()
+        stacked = []
+        blocks = []
         timer = 0
         for root in range(n):
             if disc[root] != -1:
                 continue
-            disc[root] = low[root] = timer
+            disc[root] = timer
             timer += 1
-            # stack holds [vertex, entering edge id, next incidence index]
-            stack = [[root, -1, 0]]
+            # frames: (vertex, entering edge id, incidence iterator, stack height)
+            stack = [(root, -1, iter(inc[root]), 0)]
             while stack:
-                frame = stack[-1]
-                v, in_edge, i = frame
-                if i < len(inc[v]):
-                    frame[2] += 1
-                    eid, w = inc[v][i]
-                    if eid == in_edge:
-                        continue
+                v, in_edge, it, height = stack[-1]
+                for eid, w in it:
                     if disc[w] == -1:
                         disc[w] = low[w] = timer
                         timer += 1
-                        stack.append([w, eid, 0])
-                    elif disc[w] < low[v]:
-                        low[v] = disc[w]
+                        stack.append((w, eid, iter(inc[w]), len(stacked)))
+                        stacked.append(eid)
+                        break
+                    if disc[w] < disc[v] and eid != in_edge:
+                        stacked.append(eid)
+                        if disc[w] < low[v]:
+                            low[v] = disc[w]
                 else:
                     stack.pop()
-                    if stack:
-                        parent = stack[-1][0]
-                        if low[v] < low[parent]:
-                            low[parent] = low[v]
-                        if low[v] > disc[parent]:
-                            bridges.add(in_edge)
-        return frozenset(bridges)
+                    if not stack:
+                        continue
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] < disc[u]:
+                        continue
+                    blocks.append(tuple(sorted(stacked[height:])))
+                    del stacked[height:]
+        return tuple(blocks)
+
+    @cached_property
+    def _bridge_ids(self):
+        """Edge ids of bridges: the blocks of one edge."""
+        return frozenset(b[0] for b in self.blocks if len(b) == 1)
 
     def classify_edges(self):
         """One EdgeKind per edge-id: Loop, Bridge, or CycleEdge."""

@@ -4,7 +4,7 @@ One function, `_solve`, evaluates the Tutte polynomial on the line
 y = 0: `kappa` runs it at x = 1, and `tutte_eval(g, x, 0)` at any integer
 x (x = 2 counts acyclic orientations).  Parallel edges collapse, and
 T multiplies over blocks, the 2-connected pieces that cut vertices
-separate: `_blocks` finds them all in one depth-first pass, and each
+separate: `_blocks` relabels the blocks of `Multigraph.blocks`, and each
 bridge contributes a factor x.  A block that is a cycle C_m is answered
 in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A sparse
 block, one with fewer than DENSE_SHARE of all vertex pairs as edges, is
@@ -294,71 +294,26 @@ def _core(g):
 
 
 def _blocks(g):
-    """The blocks of simplify(g), its 2-connected pieces and bridges, by
-    one depth-first pass (Hopcroft and Tarjan, CACM 1973).
+    """The blocks of simplify(g), its 2-connected pieces and bridges, from
+    `Multigraph.blocks`.
 
     Returns the number of bridges and one graph per block with two or
     more edges, its vertices relabelled in ascending order and its edges
-    in simplify(g)'s order.  Each edge is stacked when the search first
-    meets it; a vertex whose subtree reaches no higher than its parent
-    closes a block, the edges stacked since the tree edge to it, and each
-    tree edge notes the stack height it found.
+    in simplify(g)'s order.  A block's parallel copies collapse to the
+    first; a block left with one edge is a bridge of simplify(g).
     """
-    edges = list(dict.fromkeys(e for e in g.edges if e[0] != e[1]))
-    n = g.n_vertices
-    inc = [[] for _ in range(n)]
-    for eid, (a, b) in enumerate(edges):
-        inc[a].append((eid, b))
-        inc[b].append((eid, a))
-    disc = [-1] * n
-    low = [0] * n
-    stacked = []
     bridges = 0
     blocks = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
+    for ids in g.blocks:
+        edges = list(dict.fromkeys(g.edges[e] for e in ids))
+        if len(edges) == 1:
+            bridges += 1
             continue
-        disc[root] = timer
-        timer += 1
-        # frames: (vertex, entering edge id, incidence iterator, stack height)
-        stack = [(root, -1, iter(inc[root]), 0)]
-        while stack:
-            v, in_edge, it, height = stack[-1]
-            for eid, w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, iter(inc[w]), len(stacked)))
-                    stacked.append(eid)
-                    break
-                if disc[w] < disc[v] and eid != in_edge:
-                    stacked.append(eid)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] < disc[u]:
-                    continue
-                piece = stacked[height:]
-                del stacked[height:]
-                if len(piece) == 1:
-                    bridges += 1
-                    continue
-                piece.sort()
-                vertices = sorted({x for eid in piece for x in edges[eid]})
-                label = {x: i for i, x in enumerate(vertices)}
-                blocks.append(
-                    Multigraph(
-                        len(vertices),
-                        tuple((label[edges[e][0]], label[edges[e][1]]) for e in piece),
-                    )
-                )
+        vertices = sorted({x for e in edges for x in e})
+        label = {x: i for i, x in enumerate(vertices)}
+        blocks.append(
+            Multigraph(len(vertices), tuple((label[a], label[b]) for a, b in edges))
+        )
     return bridges, blocks
 
 

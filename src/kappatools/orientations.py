@@ -722,6 +722,7 @@ def _unique_source_masks(g, v):
         masks.append(bits)
 
     walk(g.m, 0, [1 << x for x in range(n)], 0)
+    del walk  # a cycle through walk's closure would keep masks alive
     # The bit-1 branch of the highest undecided edge runs first, so the
     # masks arrive in descending order.
     masks.reverse()

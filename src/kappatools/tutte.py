@@ -160,13 +160,13 @@ def tutte_eval(g, x, y, cap=None):
     factor out as powers of x, cycle blocks are summed in closed form,
     sparse blocks go to the frontier sum and dense ones to the subset DP.
     None of it recurses in Python, so no graph raises RecursionError
-    here.  Other points evaluate the full polynomial of the frontier sum.
+    here, and no edge cap applies.  Other points evaluate the full
+    polynomial of the frontier sum, which keeps `tutte_polynomial`'s cap.
     A walk whose frontier would pass `kappa.FRONTIER_CAP` vertices raises
     CapExceededError.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise GraphInputError("evaluation point must be a pair of integers")
-    _check_tutte_cap(g, cap)
     if y == 0:
         if g.has_loops:
             return 0

@@ -1,11 +1,12 @@
-"""The y=0 engine's split into blocks and its frontier walk on long, wide
-and relabelled inputs.
+"""The split into blocks (`Multigraph.blocks` and the y=0 engine's
+`_blocks`) and the frontier walk on long, wide and relabelled inputs.
 
-`_blocks` is checked against the subset-expansion oracle, which shares no
-code with it, and against the bridge and component helpers of `graphs`
-that the trace recursion still uses.  The walk is checked under many
-labellings, since the relabelling on retire only runs when a block's
-first frontier slot leaves before its later ones.
+`_blocks` is checked against the subset-expansion oracle, and
+`Multigraph.blocks` against edge and vertex deletions counted by
+`connected_components` and `UnionFind`; neither oracle shares code with
+the depth-first pass.  The walk is checked under many labellings, since
+the relabelling on retire only runs when a block's first frontier slot
+leaves before its later ones.
 """
 
 import importlib
@@ -18,7 +19,7 @@ import pytest
 from kappatools.cli import main
 from kappatools.corpus import random_multigraph
 from kappatools.errors import CapExceededError
-from kappatools.graphs import Multigraph
+from kappatools.graphs import Multigraph, UnionFind
 from kappatools.kappa import FRONTIER_CAP, _blocks, _core, _retire, kappa
 from kappatools.tutte import tutte_eval, tutte_oracle_rank_nullity, tutte_polynomial
 
@@ -123,13 +124,44 @@ def test_blocks_multiply_to_the_oracle(block_corpus):
             assert product == whole.evaluate(x, 0), (g, x)
 
 
+def connects(vertices, edges):
+    """Whether `edges` join all of `vertices` into one component."""
+    uf = UnionFind(max(vertices) + 1)
+    for a, b in edges:
+        uf.union(a, b)
+    return len({uf.find(v) for v in vertices}) == 1
+
+
 def test_blocks_count_the_bridges_and_keep_every_edge(block_corpus):
+    # the oracle shares no code with the depth-first pass: it deletes
+    # edges and vertices and counts components
     for g in block_corpus:
-        s, core = _core(g)
-        bridges, blocks = _blocks(g)
-        assert bridges == s.m - core.m, g
-        assert bridges + sum(b.m for b in blocks) == s.m, g
-        assert all(b.m >= 2 for b in blocks), g
+        blocks = g.blocks
+        block_of = {e: i for i, ids in enumerate(blocks) for e in ids}
+        loop_free = [e for e, (a, b) in enumerate(g.edges) if a != b]
+        assert sorted(block_of) == loop_free == sorted(e for ids in blocks for e in ids), g
+        assert all(list(ids) == sorted(ids) for ids in blocks), g
+        whole = len(g.connected_components())
+        for e in loop_free:
+            is_bridge = len(g.delete_edge(e).connected_components()) > whole
+            assert is_bridge == (len(blocks[block_of[e]]) == 1), (g, e)
+            copies = {block_of[f] for f in loop_free if g.edges[f] == g.edges[e]}
+            assert copies == {block_of[e]}, (g, e)
+        overlap = 0
+        for ids in blocks:
+            edges = [g.edges[e] for e in ids]
+            vertices = {v for e in edges for v in e}
+            overlap += len(vertices) - 1
+            for cut in vertices if len(ids) > 1 else ():
+                rest = vertices - {cut}
+                assert connects(rest, [e for e in edges if cut not in e]), (g, ids, cut)
+        # maximal: the blocks of a component meet at cut vertices in a
+        # tree, so they overlap in one vertex per block after the first
+        loop_free_g = Multigraph(g.n_vertices, tuple(g.edges[e] for e in loop_free))
+        assert overlap == sum(len(c) - 1 for c in loop_free_g.connected_components()), g
+        bridges, pieces = _blocks(g)
+        assert bridges + sum(b.m for b in pieces) == g.simplify().m, g
+        assert all(b.m >= 2 for b in pieces), g
 
 
 def test_a_two_connected_graph_is_its_one_block(block_corpus):
@@ -153,13 +185,16 @@ def test_a_two_connected_graph_is_its_one_block(block_corpus):
         (Multigraph(100_001, tuple((i, i + 1) for i in range(100_000))), 1),
         (triangle_chain(10_000), 2**10_000),
         (friendship(300), 2**300),
+        (Multigraph(3, ((0, 1), (1, 2), (0, 2)) * 30_000), 2),
+        (Multigraph(2, ((0, 1),) * 100_000), 1),
     ],
-    ids=["path-100001", "triangle-chain-10000", "friendship-300"],
+    ids=["path-100001", "triangle-chain-10000", "friendship-300", "triangle-x30000", "parallel-100000"],
 )
 def test_long_and_wide_inputs_stay_linear(g, value):
     # a block search that looks up the tree edge on its edge stack is
     # quadratic on the path; a split at bridges only leaves F_300 one
-    # piece with a 301-vertex frontier
+    # piece with a 301-vertex frontier; and the parallel copies enter the
+    # block search, one back edge each
     start = time.perf_counter()
     assert kappa(g).value == value
     assert time.perf_counter() - start < 2

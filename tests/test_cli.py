@@ -65,6 +65,17 @@ def test_eval_tree_at_1_0(capsys, tree_file):
     assert out == "1\n"
 
 
+def test_eval_at_y0_has_no_edge_cap(capsys, tmp_path):
+    # K9 has 36 edges, past the polynomial's cap of 30; y = 0 runs the
+    # kappa engine, which needs none
+    path = tmp_path / "k9.txt"
+    path.write_text(Multigraph(9, tuple((a, b) for b in range(9) for a in range(b))).to_edge_list_text())
+    code, out, _ = run_cli(capsys, "eval", str(path), "--point", "1", "0")
+    assert (code, out) == (0, "40320\n")
+    code, _, err = run_cli(capsys, "eval", str(path), "--point", "1", "1")
+    assert code == 3 and "graph has 36 edges" in err, err
+
+
 def test_alpha_both_routes(capsys, c5_file):
     code, out, _ = run_cli(capsys, "alpha", c5_file)
     assert code == 0

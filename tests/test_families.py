@@ -32,7 +32,7 @@ import pytest
 from kappatools.graphs import Multigraph
 from kappatools.kappa import CacheStats, _partition_counts, kappa
 from kappatools.orientations import acyclic_masks, kappa_partition_bruteforce
-from kappatools.tutte import DEFAULT_TUTTE_CAP, tutte_eval
+from kappatools.tutte import tutte_eval
 
 
 def complete(n):
@@ -82,8 +82,7 @@ def theta(*lengths):
 
 def check(g, expected, name):
     assert kappa(g).value == expected, name
-    if g.m <= DEFAULT_TUTTE_CAP:
-        assert tutte_eval(g, 1, 0) == expected, name
+    assert tutte_eval(g, 1, 0) == expected, name
 
 
 def test_complete_graphs():
@@ -97,7 +96,7 @@ def test_complete_graphs_split_only_into_singletons():
     for n in range(1, 21):
         g = complete(n)
         assert _partition_counts(g, CacheStats()) == [0] * n + [1], f"K{n}"
-        assert tutte_eval(g, 2, 0, cap=g.m) == factorial(n), f"K{n}"
+        assert tutte_eval(g, 2, 0) == factorial(n), f"K{n}"
 
 
 def test_cycles_and_trees():

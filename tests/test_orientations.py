@@ -1,5 +1,6 @@
 """Orientation enumeration, clicks, class structure, paths, cuts."""
 
+import gc
 import math
 import random
 import sys
@@ -836,6 +837,24 @@ def test_unique_source_search_has_no_dead_branch_on_complete_graphs():
             finally:
                 sys.setprofile(None)
             assert calls == len(found) == math.factorial(n - 1), (n, v, calls)
+
+
+def test_unique_source_masks_go_with_the_result():
+    """The search's memory is freed when its result is dropped, with no
+    cyclic garbage collection to wait for."""
+    g = grid_graph(4, 4)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        masks = _unique_source_masks(g, 0)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del masks
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 1 << 19 and left < 1 << 12, (held, left)
 
 
 def test_unique_source_outputs_are_one_per_class(random_corpus, random_partitions):

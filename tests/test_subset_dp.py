@@ -96,7 +96,7 @@ def test_dp_matches_brute_force_and_the_trace_on_dense_random_graphs(dp_only):
         g = dense_gnp(rng, 4, 7)
         part = kappa_partition_bruteforce(g, cap=g.m)
         assert kappa(g).value == part.class_count == kappa_with_trace(g).value, g
-        assert tutte_eval(g, 2, 0, cap=g.m) == sum(len(cls) for cls in part.classes), g
+        assert tutte_eval(g, 2, 0) == sum(len(cls) for cls in part.classes), g
 
 
 def test_dp_matches_the_frontier_sum_on_larger_dense_graphs(monkeypatch):
@@ -106,7 +106,7 @@ def test_dp_matches_the_frontier_sum_on_larger_dense_graphs(monkeypatch):
         values = []
         for share in (0, 2):  # every piece to the DP, then to the frontier sum
             monkeypatch.setattr(KAPPA_MODULE, "DENSE_SHARE", share)
-            values.append([kappa(g).value] + [tutte_eval(g, x, 0, cap=g.m) for x in (-1, 2)])
+            values.append([kappa(g).value] + [tutte_eval(g, x, 0) for x in (-1, 2)])
         assert values[0] == values[1], g
 
 
