@@ -13,9 +13,12 @@ answered by `frontier_sum`; a dense one by `_partition_counts`.
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
 ISAAC 1995), each partition a `bytes` key of one label per vertex, so
-no walk runs past a frontier of FRONTIER_CAP vertices.
-`tutte._subset_counts` runs the same walk with other weights to build
-the full polynomial.
+no walk runs past a frontier of FRONTIER_CAP vertices.  The walk steps
+through every vertex but the last two; those two close in one product
+pass per state signature, the multiset of edge counts that they send
+into each frontier block, so on a clique the Bell(n) partitions of the
+last steps are never built.  `tutte._subset_counts` runs the same walk
+with other weights to build the full polynomial.
 
 `_partition_counts` works on vertices instead: p_k, the number of
 partitions of the n vertices into k independent sets, gives the chromatic
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial, prod
-from operator import mul
+from operator import lshift, mul
 
 from .errors import CapExceededError, GraphInputError
 from .graphs import Multigraph, bfs_order, memo_key
@@ -123,6 +126,34 @@ def frontier_sum(g, take, close, scale=mul):
     `scale` is the scaling: `mul`, or `lshift` when take and close are
     shift amounts.  A walk whose frontier would pass FRONTIER_CAP vertices
     raises CapExceededError before it starts.
+
+    The walk ends in closed form, with one product pass per state
+    signature instead of the steps of the last two vertices u and p.
+    Write t and c for the multipliers, take and close (2^take and 2^close
+    under `lshift`).  Before u is placed, every edge still to come runs
+    from u or p, to a frontier slot or between u and p; a state's blocks
+    B get du_B and dp_B of them from u and from p, and delta edges join
+    u and p.  The rest of the walk scales the state by the sum over the
+    subsets S of those edges of t^|S| c^(k(S) - 1), k(S) the number of
+    components the blocks, u and p form under S (every one closes but the
+    last).  A block B is tied to u, with weight a_B = (1 + t)^du_B - 1
+    (some edge from u taken), or not, with weight 1; and to p, with
+    weight g_B - 1 where g_B = (1 + t)^dp_B, or not.  Counted as if u and
+    p stayed apart, a block weighs
+    c + a_B + (g_B - 1) + a_B (g_B - 1) = f_B + a_B g_B, with
+    f_B = c - 1 + g_B, and all subsets sum to
+    N = c^2 (1 + t)^delta prod_B (f_B + a_B g_B), one factor c too many
+    wherever u and p end joined.  The subsets that leave them apart take
+    no u-p edge and tie no block to both, so there a block weighs
+    f_B + a_B and they sum to M = c^2 prod_B (f_B + a_B).  The sum of
+    c^k(S) is M + (N - M) / c, and dividing out the last component's c
+    gives
+
+        L = (c - 1) prod_B (f_B + a_B) + (1 + t)^delta prod_B (f_B + a_B g_B).
+
+    L depends only on the multiset of the pairs (du_B, dp_B), the state's
+    signature, so `_close_last_two` first sums the weights per signature
+    and then scales each sum once.
     """
     degree = g.degrees
     order = [v for v in bfs_order(g) if degree[v]]
@@ -136,10 +167,12 @@ def frontier_sum(g, take, close, scale=mul):
     width = _frontier_width(edges, last)
     if width > FRONTIER_CAP:
         raise CapExceededError("frontier", width, FRONTIER_CAP, unit="vertices")
+    if not edges:
+        return 1
     states = {b"": 1}
     frontier = []
     i = 0
-    for p in range(len(order)):
+    for p in range(len(order) - 2):
         frontier.append(p)
         if i == len(edges) or edges[i][0] != p:
             # the first vertex of a component: no edge back, a block of its own
@@ -164,14 +197,88 @@ def frontier_sum(g, take, close, scale=mul):
                         if lo > hi:
                             lo, hi = hi, lo
                         blocks = blocks.translate(_MERGE[lo << 8 | hi])
-                    out[blocks] = out.get(blocks, 0) + scale(weight, take)
+                    taken = scale(weight, take)
+                    old = out.get(blocks)
+                    out[blocks] = taken if old is None else old + taken
             states = out
             for v in edges[i]:
                 if last[v] == i:
                     states = _retire(states, frontier.index(v), close, scale)
                     frontier.remove(v)
             i += 1
-    return sum(states.values())
+    return _close_last_two(states, frontier, edges[i:], len(order) - 2, take, close, scale)
+
+
+def _close_last_two(states, frontier, edges, u, take, close, scale):
+    """The rest of the walk from the step of u, the last vertex but one:
+    the sum over the states of weight * L (see `frontier_sum`), where
+    `edges` are the edges still to come, each from u or from the last
+    vertex p.
+
+    The weights are summed first per integer key that holds the blocks'
+    packed (du_B, dp_B) pairs in label order, and then per sorted tuple of
+    pairs, the signature.  Each signature's sum is scaled
+    block by block by f_B + a_B = c + (1 + t)^du_B + (1 + t)^dp_B - 2 and
+    f_B + a_B g_B = c + (1 + t)^(du_B + dp_B) - 1, with a multiplication
+    by c as one `scale` by close.  The two factors differ only for a
+    block that both u and p reach, so the two products share one chain
+    over the other blocks.  A weight is never multiplied by a whole
+    product, which under `lshift` is a dense integer as long as the
+    weight itself.
+    """
+    t = scale(1, take)
+    power = [1]  # power[k] = (1 + t)^k
+    for _ in edges:
+        power.append(power[-1] * (1 + t))
+    # slot j's edges from u and from p, packed as du_j * base + dp_j, so
+    # that the sum over a block's slots packs (du_B, dp_B) the same way
+    base = len(edges) + 1
+    pair = [0] * len(frontier)
+    slot = {v: j for j, v in enumerate(frontier)}
+    delta = 0
+    for hi, lo in edges:
+        if lo == u:
+            delta += 1
+        else:
+            pair[slot[lo]] += base if hi == u else 1
+    # the packed pairs in label order as one integer, a field per label
+    field = (base * base).bit_length()
+    shift = field.__mul__
+    by_order = {}
+    for blocks, weight in states.items():
+        key = sum(map(lshift, pair, map(shift, blocks)))
+        old = by_order.get(key)
+        by_order[key] = weight if old is None else old + weight
+    by_signature = {}
+    mask = (1 << field) - 1
+    for key, weight in by_order.items():
+        signature = []
+        while key:  # every block has an edge to come, so no field is 0
+            signature.append(key & mask)
+            key >>= field
+        signature = tuple(sorted(signature))
+        old = by_signature.get(signature)
+        by_signature[signature] = weight if old is None else old + weight
+    terms = {}
+    apart = joined = 0
+    for signature, weight in by_signature.items():
+        both = []
+        for s in signature:
+            if s not in terms:
+                du, dp = divmod(s, base)
+                terms[s] = (power[du] + power[dp] - 2, power[du + dp] - 1)
+            x, y = terms[s]
+            if x == y:
+                weight = scale(weight, close) + weight * x
+            else:
+                both.append((x, y))
+        a = j = weight
+        for x, y in both:
+            a = scale(a, close) + a * x
+            j = scale(j, close) + j * y
+        apart += a
+        joined += j
+    return scale(apart, close) - apart + power[delta] * joined
 
 
 def _frontier_width(edges, last):
@@ -225,7 +332,8 @@ def _retire(states, j, close, scale):
             t = max(rest[j:k]) - b
             if t > 0:
                 rest = rest.translate(_ROTATE[b << 8 | t])
-        out[rest] = out.get(rest, 0) + weight
+        old = out.get(rest)
+        out[rest] = weight if old is None else old + weight
     return out
 
 

@@ -7,7 +7,10 @@ and Tani, ISAAC 1995): `kappa.frontier_sum` takes the vertices in the
 breadth-first order of `graphs.bfs_order`, and for each partition of the
 frontier (the vertices seen that still have edges to come) it keeps the
 number of subsets per (corank, |A|), packed into one integer.  The work
-grows with the number of frontier partitions, not with 2^m.  Evaluations
+grows with the number of frontier partitions, not with 2^m.  The last
+two vertices close in one product pass per state signature (the edge
+counts they send into each frontier block), so on K_n the walk keeps
+Bell(n - 2) partitions, not Bell(n).  Evaluations
 at y=0 do not build the polynomial: they run the one y=0 engine of
 `kappatools.kappa`, which splits the graph into blocks and answers
 sparse blocks with the same frontier walk and dense ones by a DP over
