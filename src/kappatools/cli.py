@@ -21,7 +21,7 @@ import json
 import os
 import random
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .collapse import build_collapse_graph, verify_collapse_structure
 from .corpus import GNP_DESCRIPTION, connected_simple_graphs, random_gnp_graph
@@ -248,8 +248,10 @@ def _verify_graph(g, cap):
     alpha_tutte = poly.evaluate(2, 0)
     # The partition groups the masks by ν on cycles, which gives the cut
     # classes; the closure of the click graph is the independent algorithm
-    # it must match.
-    cut_ok = part.classes == _click_class_masks(part.graph)
+    # it must match.  It closes the partition's own masks, so no second
+    # walk runs; alpha above checks that mask set against T(2, 0).
+    masks = sorted(chain.from_iterable(part.classes))
+    cut_ok = part.classes == _click_class_masks(part.graph, masks)
     connected = g.is_connected
 
     checks = {

@@ -9,12 +9,18 @@ filtered: a depth-first search orients one edge at a time, and an edge
 whose one direction would close a cycle is forced the other way.  One
 direction is always open, so the work follows the number of acyclic
 masks rather than 2^m (`_completions`).  On a sparse graph the search is
-split once, at an edge id where few vertices have edges on both sides
-(`_split_point`): the branches over the upper edges that leave the same
-reach relation between those vertices have the same completions below,
-so each such relation's completions are walked once per call
-(`_mask_walk`).  `_peels`, which peels sources off one mask, is the check
-for a single mask and the oracle the search is tested against.
+split once, at an edge position where few vertices have edges on both
+sides (`_split_point`), in the input edge order or, where that order has
+no narrow prefix, in a breadth-first edge order (`_walk_plan`): the
+branches over the upper edges that leave the same reach relation between
+those vertices have the same completions below, so each such relation's
+completions are walked once per call (`_mask_walk`).  The walk is keyed:
+it carries the sum of per-edge weights over the set bits as it carries
+the bits, and groups the masks by that key as it makes them.  With every
+weight 0 it gives the acyclic masks (`_acyclic_masks`), and with the
+weights of a packed ν key the click classes (`_nu_classes`).  `_peels`,
+which peels sources off one mask, is the check for a single mask and the
+oracle the search is tested against.
 `_unique_source_masks` runs the same search but also
 ends a branch at an edge into the chosen source or at a second source,
 so it never builds the acyclic masks it would drop.  It keeps a walk of
@@ -32,10 +38,11 @@ Pretzel (Order 1986) shows that the click classes, the cut-equivalence
 classes and the classes of ν on cycles agree; ν is additive over the cycle
 space, so the fundamental cycles decide it.  Two algorithms get the classes.
 `_nu_classes` groups the masks by a packed key of ν on the fundamental
-cycles; its one caller is `kappa_partition_bruteforce`, behind the
-`classes`, `nu` and `collapse` commands and `cut_equivalence_classes`.
-`_click_class_masks` closes the click graph; it is `verify`'s second,
-independent leg and the test oracle for the grouping.
+cycles, inside the walk; its one caller is `kappa_partition_bruteforce`,
+behind the `classes`, `nu` and `collapse` commands and
+`cut_equivalence_classes`.  `_click_class_masks` closes the click graph;
+it is `verify`'s second, independent leg and the test oracle for the
+grouping.
 """
 
 from __future__ import annotations
@@ -44,10 +51,9 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
-from .graphs import Multigraph, UnionFind
+from .graphs import Multigraph, UnionFind, bfs_order
 
 DEFAULT_BRUTE_FORCE_CAP = 20
 
@@ -97,51 +103,94 @@ def _check_cap(g, cap):
         raise CapExceededError("graph", g.m, cap)
 
 
-@lru_cache(maxsize=8)
 def _acyclic_masks(g):
     """The acyclic masks of g, ascending, generated without trying the rest.
 
-    The edges are oriented one at a time, highest id first, depth first
-    (`_completions`), and the walk may be split once, at the edge id
-    `_split_point` picks.  A branch that reaches the split is keyed by the
-    reach relation it leaves on the vertices with edges on both sides; the
-    key fixes the completions of the lower edges exactly, so each key's
-    completions are walked once per call (`_mask_walk` says why).  The
-    masks are the same, in the same order, with or without the split.
-    Every caller rejects loops first.
+    This is `_mask_walk` with every weight 0, so all masks share one key
+    and come out as one class, in the order and at the split `_walk_plan`
+    picks.  Nothing is cached: `verify` hands the partition's own masks to
+    the click closure, so no caller walks one graph twice.  Every caller
+    rejects loops first.
     """
-    return _mask_walk(g, _split_point(g))
+    return _mask_walk(g, [0] * g.m, *_walk_plan(g))[0]
 
 
-def _split_point(g):
-    """The edge id at which `_mask_walk` splits g, or 0 for no split.
+def _walk_plan(g):
+    """(order, split) for `_mask_walk` on g: order None walks the input
+    edge order, and split 0 means no split.
 
-    A vertex is on the interface at s when it has an edge below s and one
-    at or above it, that is when its first edge id is below s and its last
-    is not.  Among s in [m/4, m/2] the split takes the fewest interface
-    vertices, the larger s on a tie, in O(m) from the first and last
-    edge id of each vertex.  It is taken only on a graph with 7 or more
-    edges, fewer than two per vertex with an edge (never on K5 or a larger
-    clique), and only when that interface holds fewer than two thirds of
-    those vertices.  Elsewhere the table only adds work.  Below 7 edges
-    its fixed cost, about 10 us, outweighs the walk it saves: on small
-    connected multigraphs with m = 2..5 the split walk ran at 0.45-0.85
-    times the speed of the unsplit one, and at m = 6 even.  On denser
-    graphs nearly every branch reaches s with a key of its own: on
-    cliques, and on wheels and G(7, 1/2) with a larger interface, the
-    split walk ran at 0.6-0.95 times the speed.
+    The walk splits only a graph with 7 or more edges and fewer than two
+    per vertex with an edge (never K5 or a larger clique).  Elsewhere the
+    table only adds work.  Below 7 edges its fixed cost, about 10 us,
+    outweighs the walk it saves: on small connected multigraphs with
+    m = 2..5 the split walk ran at 0.45-0.85 times the speed of the
+    unsplit one, and at m = 6 even.  On denser graphs nearly every branch
+    reaches the split with a key of its own: on cliques, and on wheels and
+    G(7, 1/2) with a larger interface, the split walk ran at 0.6-0.95
+    times the speed.  So below 7 edges and on dense graphs no order work
+    is done at all.
+
+    `_split_point` can only cut the edge order it is given at a prefix,
+    and a scrambled order has no narrow prefix: scrambled C16 walked in
+    27-30 ms against 8.7 ms for the natural one.  So the split is also
+    sought in the narrow order of `_narrow_order`.  That order is taken
+    when it splits and the input order's split is refused, or when its
+    split has no more interface vertices at a position no smaller, and is
+    better in one of the two.  The position matters as well as the width:
+    an order chosen by width alone sent the natural grid 4x4 to a split
+    at 6 edges, whose walk ran 1.6x slower than the input order's at 12.
+    And a scrambled W9 whose input order split at 4 edges with 3 interface
+    vertices walked in 1.7 ms at the narrow order's split at 8, with 3
+    too, against 3.0 ms at 4.
     """
     m = g.m
     if m < 7:
-        return 0
+        return None, 0
+    placed = len(g.degrees) - g.degrees.count(0)
+    if m >= 2 * placed:
+        return None, 0
+    split, size = _split_point(g.edges, placed)
+    order = _narrow_order(g)
+    narrow, width = _split_point([g.edges[e] for e in order], placed)
+    better = (width, narrow) != (size, split) and width <= size and narrow >= split
+    if narrow and (not split or better):
+        return order, narrow
+    return None, split
+
+
+def _narrow_order(g):
+    """The edge ids of g sorted by their later endpoint in
+    `graphs.bfs_order`, then by the earlier one, as `kappa.frontier_sum`
+    takes them: a prefix of this order touches a breadth-first prefix of
+    the vertices, whose frontier is narrow on paths, cycles, grids and
+    wheels whatever the labels."""
+    pos = [0] * g.n_vertices
+    for i, v in enumerate(bfs_order(g)):
+        pos[v] = i
+    n = g.n_vertices
+    keys = [pos[a] * n + pos[b] if pos[a] > pos[b] else pos[b] * n + pos[a] for a, b in g.edges]
+    return sorted(range(g.m), key=keys.__getitem__)
+
+
+def _split_point(edges, placed):
+    """(split, size): the edge position at which `_mask_walk` splits the
+    edge sequence `edges` over `placed` vertices, and its interface size;
+    split 0 when the split is refused.
+
+    A vertex is on the interface at s when it has an edge below s and one
+    at or above it, that is when its first position is below s and its
+    last is not.  Among s in [m/4, m/2] the split takes the fewest
+    interface vertices, the larger s on a tie, in O(m) from the first and
+    last position of each vertex.  It is refused unless that interface
+    holds fewer than two thirds of the placed vertices; `_walk_plan` says
+    which graphs are tried at all.
+    """
+    m = len(edges)
     first, last = {}, {}
-    for e, edge in enumerate(g.edges):
+    for e, edge in enumerate(edges):
         for x in edge:
             first.setdefault(x, e)
             last[x] = e
-    placed = len(first)
-    if m >= 2 * placed:
-        return 0
     change = [0] * (m + 2)  # the interface size moves by change[s] at s
     for x, e in first.items():
         change[e + 1] += 1
@@ -151,36 +200,59 @@ def _split_point(g):
         size += change[s]
         if 4 * s >= m and size <= best:
             best, split = size, s
-    return split if 3 * best < 2 * placed else 0
+    return (split if 3 * best < 2 * placed else 0), best
 
 
-def _mask_walk(g, split):
-    """The acyclic masks of g, ascending, with the walk split at edge id
-    `split` (0 for none; every split in 0..m gives the same tuple).
+def _mask_walk(g, weights, order=None, split=0):
+    """The acyclic masks of g grouped by key, as a tuple of classes: each
+    class ascending, the classes ascending by their least mask.  A mask's
+    key is the sum of weights[e] over its set bits e.  Every order (a
+    permutation of the edge ids, None for the input order) and every
+    split in 0..m gives the same tuple.
 
-    The edges at or above the split are walked first, as in
-    `_completions`.  A branch that reaches the split has oriented them
-    all.  Its masks are its bits joined with each completion of the edges
-    below, and those depend only on the reach relation between the
-    vertices the lower edges touch.  That relation is fixed by its part on
-    the `inner` vertices, the ones with edges on both sides: a vertex with
-    lower edges only reaches no other vertex yet, and none reaches it.  The
-    lower walk reads reach only between vertices the lower edges touch,
-    and orienting a->b there adds the pairs (x, y) with x reaching a and b
-    reaching y, all within that set, so the walk below is a function of
-    the relation.  So the key tuple(reach[x] & inner_mask for x in inner)
-    fixes the completions, and each key's descending list is walked once,
-    into a table that lives for this call only.  Each half indexes only
-    the vertices its edges touch, the inner ones first in both, so a key
-    is also the first rows of the lower walk's starting reach.
+    The walk carries the key as it carries the bits.  With no order and
+    no split it is one `_completions` walk.  Otherwise position i of the
+    walk holds edge order[i], and the positions at or above the split are
+    walked first, as in `_completions`.  A branch that reaches the split
+    has oriented them all.  Its masks are its bits joined with each
+    completion of the positions below, and those depend only on the reach
+    relation between the vertices the lower edges touch.  That relation
+    is fixed by its part on the `inner` vertices, the ones with edges on
+    both sides: a vertex with lower edges only reaches no other vertex
+    yet, and none reaches it.  The lower walk reads reach only between
+    vertices the lower edges touch, and orienting a->b there adds the
+    pairs (x, y) with x reaching a and b reaching y, all within that set,
+    so the walk below is a function of the relation.  So the key
+    tuple(reach[x] & inner_mask for x in inner) fixes the completions, and
+    each key's completions are walked once, already grouped by their low
+    key, into a table that lives for this call only.  A leaf with key hk
+    then appends each whole group under hk + tk in one list comprehension,
+    so no mask is keyed or hashed on its own past the table.  Each half
+    indexes only the vertices its edges touch, the inner ones first in
+    both, so a key is also the first rows of the lower walk's starting
+    reach.
+
+    In the input order the masks come out descending, and each class is
+    reversed.  In another order a leaf's bits, and a table entry's masks
+    once when the entry is made, go back to input edge ids through
+    `_chunk_tables`, one set for the positions on each side of the split,
+    so that a small graph builds two small tables rather than one of
+    2^11 entries; and each class is sorted once.
     """
-    edges = g.edges
-    if not split:
-        placed = sorted({x for edge in edges for x in edge})
+    if order is None and not split:
+        placed = sorted({x for edge in g.edges for x in edge})
         pos = {x: i for i, x in enumerate(placed)}
-        ends = [(pos[a], pos[b]) for a, b in edges]
-        masks = _completions(ends, g.m, [1 << x for x in range(len(placed))])
+        steps = _steps([(pos[a], pos[b]) for a, b in g.edges], weights)
+        groups = _completions(steps, g.m, [1 << x for x in range(len(placed))])
     else:
+        if order is None:
+            edges = g.edges
+            lower = upper = None
+        else:
+            edges = [g.edges[e] for e in order]
+            weights = [weights[e] for e in order]
+            lower = _chunk_tables([1 << e for e in order[:split]])
+            upper = _chunk_tables([1 << e for e in order[split:]])
         below = {x for edge in edges[:split] for x in edge}
         above = {x for edge in edges[split:] for x in edge}
         inner = sorted(below & above)
@@ -188,78 +260,112 @@ def _mask_walk(g, split):
         high = {x: i for i, x in enumerate(inner + sorted(above - below))}
         ends = [(low[a], low[b]) for a, b in edges[:split]]
         ends += [(high[a], high[b]) for a, b in edges[split:]]
+        steps = _steps(ends, weights)
         k = len(inner)
         inner_mask = (1 << k) - 1
         alone = [1 << x for x in range(k, len(low))]
         tails = {}
-        masks = []
+        groups = defaultdict(list)
 
-        def walk(e, bits, reach):
+        def walk(e, bits, key, reach):
             while e > split:
                 e -= 1
-                a, b = ends[e]
-                abit, bbit = 1 << a, 1 << b
+                a, b, abit, bbit, ebit, w = steps[e]
                 if reach[b] & abit:
-                    bits |= 1 << e
+                    bits |= ebit
+                    key += w
                 elif not reach[a] & bbit:
                     head = reach[a]
-                    walk(e, bits | 1 << e, [r | head if r & bbit else r for r in reach])
+                    walk(e, bits | ebit, key + w, [r | head if r & bbit else r for r in reach])
                     head = reach[b]
                     reach = [r | head if r & abit else r for r in reach]
-            key = tuple([r & inner_mask for r in reach[:k]])
-            tail = tails.get(key)
+            reach_key = tuple([r & inner_mask for r in reach[:k]])
+            tail = tails.get(reach_key)
             if tail is None:
-                tail = tails[key] = _completions(ends, split, [*key, *alone])
-            masks.extend([bits | t for t in tail])
+                tail = _completions(steps, split, [*reach_key, *alone]).items()
+                if lower is not None:
+                    tail = [
+                        (tk, sorted([_translate(lower, t) for t in grp]))
+                        for tk, grp in tail
+                    ]
+                tails[reach_key] = tail
+            if upper is not None:
+                bits = _translate(upper, bits >> split)
+            for tk, grp in tail:
+                groups[key + tk].extend([bits | t for t in grp])
 
-        walk(g.m, 0, [1 << x for x in range(len(high))])
+        walk(g.m, 0, 0, [1 << x for x in range(len(high))])
         del walk  # walk's closure holds walk and the tables: free them now
-    # Pop the descending list into the growing tuple: the list shrinks as
-    # the tuple grows, where tuple(reversed list) would hold two full
-    # arrays of pointers at once.
-    return tuple(map(list.pop, repeat(masks, len(masks))))
+    classes = []
+    for masks in groups.values():
+        if order is None:
+            masks.reverse()
+        else:
+            masks.sort()  # ascending runs, one per leaf and group
+        classes.append(tuple(masks))
+        masks.clear()  # at most one class is held twice at a time
+    classes.sort()  # classes are disjoint, so their least masks decide
+    return tuple(classes)
 
 
-def _completions(ends, e, reach):
+def _translate(tables, bits):
+    """The mask of input edge ids for a mask over a run of walk
+    positions, from the `_chunk_tables` of those positions' edge bits."""
+    out = 0
+    for low, table in tables:
+        out |= table[bits >> low & 0x7FF]
+    return out
+
+
+def _steps(ends, weights):
+    """Per edge position e: (a, b, 1 << a, 1 << b, 1 << e, weights[e]),
+    where ends[e] = (a, b), the walks' per-edge constants, made once per
+    walk.  Unpacking them costs less than shifting at each visit: it made
+    the keyed walk with every weight 0 no slower than the unkeyed one."""
+    return [(a, b, 1 << a, 1 << b, 1 << e, w) for e, ((a, b), w) in enumerate(zip(ends, weights))]
+
+
+def _completions(steps, e, reach):
     """Every way to orient the edges below e acyclically on top of reach,
-    as masks over those edges, descending.
+    as masks over those edges grouped by key (the sum of the weights of
+    the set bits): a dict from key to a descending list of masks.
 
-    ends[i] holds the positions of edge i's ends, smaller label first, and
-    reach[x] is the bitset of positions that x reaches under the edges
-    already oriented.  An edge {a, b} is forced b->a (bit 1) when b
-    already reaches a, and a->b (bit 0) when a reaches b; both cannot hold
-    in an acyclic partial orientation, so at least one direction is always
-    open, every branch ends in a mask, and the work follows the number of
-    masks, not 2^m.  Forced edges are taken in a loop, so only a free edge
-    costs a frame.  A free edge adds a pair to the reach order, so a branch
-    has at most n(n-1)/2 of them, while a graph with n vertices and c
-    components has at least 2^(n-c) masks: the depth stays small on any
-    graph the search can finish.  The bit-1 branch goes first, so the masks
-    come out descending.  `_peels` stays the check for a single mask and
-    the oracle this is tested against.
+    steps[i] is edge i's `_steps` entry, its ends as positions, smaller
+    label first, and reach[x] is the bitset of positions that x reaches
+    under the edges already oriented.  An edge {a, b} is forced b->a
+    (bit 1) when b already reaches a, and a->b (bit 0) when a reaches b;
+    both cannot hold in an acyclic partial orientation, so at least one
+    direction is always open, every branch ends in a mask, and the work
+    follows the number of masks, not 2^m.  Forced edges are taken in a
+    loop, so only a free edge costs a frame.  A free edge adds a pair to
+    the reach order, so a branch has at most n(n-1)/2 of them, while a
+    graph with n vertices and c components has at least 2^(n-c) masks:
+    the depth stays small on any graph the search can finish.  The bit-1
+    branch goes first, so the masks come out descending.  `_peels` stays
+    the check for a single mask and the oracle this is tested against.
     """
-    masks = []
+    groups = defaultdict(list)
 
-    def walk(e, bits, reach):
+    def walk(e, bits, key, reach):
         while e:
             e -= 1
-            a, b = ends[e]
-            abit, bbit = 1 << a, 1 << b
+            a, b, abit, bbit, ebit, w = steps[e]
             if reach[b] & abit:
-                bits |= 1 << e
+                bits |= ebit
+                key += w
             elif not reach[a] & bbit:
                 if not e:  # the last edge: no reach is read after it
-                    masks.append(bits | 1)
+                    groups[key + w].append(bits | 1)
                     break
                 head = reach[a]
-                walk(e, bits | 1 << e, [r | head if r & bbit else r for r in reach])
+                walk(e, bits | ebit, key + w, [r | head if r & bbit else r for r in reach])
                 head = reach[b]
                 reach = [r | head if r & abit else r for r in reach]
-        masks.append(bits)
+        groups[key].append(bits)
 
-    walk(e, 0, reach)
-    del walk  # a cycle through walk's closure would keep masks alive
-    return masks
+    walk(e, 0, 0, reach)
+    del walk  # a cycle through walk's closure would keep the groups alive
+    return groups
 
 
 @dataclass(frozen=True)
@@ -391,19 +497,22 @@ class KappaPartition:
         return self.classes
 
 
-def _click_class_masks(g):
+def _click_class_masks(g, masks=None):
     """Connected components of the click graph over the acyclic masks of g.
 
     A click reverses every edge at a source, so it keeps the mask acyclic.
     g may have parallel edges (forced co-directed); the caller decides
-    whether to simplify first, and checks loops and the cap.  Classes and
-    masks come out ascending.  No library call uses it: it is `verify`'s
-    check on `_nu_classes`, which shares no step with it past the masks,
-    and the tests' oracle.
+    whether to simplify first, and checks loops and the cap.  `masks`, if
+    given, are the acyclic masks of g ascending, as a caller that holds
+    them already passes them in; otherwise they are walked here.  Classes
+    and masks come out ascending.  No library call uses it: it is
+    `verify`'s check on `_nu_classes`, which shares no step with it past
+    the masks, and the tests' oracle.
     """
     out, incident = _bit_tables(g)
     clicks = [(incident[v], out[v]) for v in range(g.n_vertices) if incident[v]]
-    masks = _acyclic_masks(g)
+    if masks is None:
+        masks = _acyclic_masks(g)
     index = {bits: i for i, bits in enumerate(masks)}
     uf = UnionFind(len(masks))
     for i, bits in enumerate(masks):
@@ -432,8 +541,14 @@ def _chunk_tables(weights):
 
 def _nu_classes(s):
     """The acyclic masks of the simple graph s grouped by ν on its
-    fundamental cycles.  The masks come ascending and a class is placed
-    at its first mask, so the classes come out ascending too.
+    fundamental cycles, classes and members ascending: one keyed
+    `_mask_walk` under `_nu_weights`, which groups the masks as it makes
+    them, with no pass over the masks after the walk."""
+    return _mask_walk(s, _nu_weights(s), *_walk_plan(s))
+
+
+def _nu_weights(s):
+    """Per edge of the simple graph s, its weight in the packed ν key.
 
     On a cycle with masks (up, down), g(bits) = |bits & down| - |bits & up|
     fixes ν = 2(|up| + g) - |up | down|, and g + |up| lies in 0..|up | down|.
@@ -441,9 +556,7 @@ def _nu_classes(s):
     an edge weighs +1 at the digit of each cycle it walks down and -1 at
     each it walks up.  A mask's key, the sum of its edges' weights, is then
     Σ g_i << shift_i; each g_i + |up_i| fits its digit, so equal keys mean
-    equal ν on every fundamental cycle.  The key is linear in the bits, so
-    `_chunk_tables` holds the key of every value of each 11-bit chunk of
-    the mask, and a mask costs one lookup and one addition per chunk.
+    equal ν on every fundamental cycle.
     """
     weights = [0] * s.m
     shift = 0
@@ -451,14 +564,7 @@ def _nu_classes(s):
         for e in range(s.m):
             weights[e] += ((down >> e & 1) - (up >> e & 1)) << shift
         shift += (up | down).bit_count().bit_length()
-    tables = _chunk_tables(weights)
-    classes = defaultdict(list)
-    for bits in _acyclic_masks(s):
-        key = 0
-        for low, table in tables:
-            key += table[bits >> low & 0x7FF]
-        classes[key].append(bits)
-    return tuple(map(tuple, classes.values()))
+    return weights
 
 
 def kappa_partition_bruteforce(g, cap=None):

@@ -32,9 +32,13 @@ from kappatools.orientations import (
     _click_class_masks,
     _fundamental_cycles,
     _mask_walk,
+    _narrow_order,
+    _nu_classes,
+    _nu_weights,
     _peels,
     _split_point,
     _unique_source_masks,
+    _walk_plan,
     acyclic_masks,
     apply_click_sequence,
     click,
@@ -222,7 +226,7 @@ def test_masks_index_reach_by_position_not_label():
     g = Multigraph(20_000, ((0, 19_999),))
     tracemalloc.start()
     try:
-        assert _acyclic_masks.__wrapped__(g) == (0, 1)
+        assert _acyclic_masks(g) == (0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,34 +256,98 @@ def test_star_masks_with_centre_first_and_last(centre):
     assert acyclic_masks(g) == tuple(range(1 << 14))
 
 
-# ----- the split walk -----
+# ----- the split walk, its edge orders and the keyed grouping -----
 
-def interface(g, split):
+def wheel_graph(k):
+    """W_(k+1): hub 0 joined to every vertex of the rim cycle 1..k."""
+    return Multigraph(
+        k + 1, tuple([(0, v) for v in range(1, k + 1)] + [(v, v % k + 1) for v in range(1, k + 1)])
+    )
+
+
+PETERSEN = Multigraph(10, tuple(
+    [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+))
+
+
+def row_major_grid(rows, cols):
+    """The grid with its edges in row-major order of their smaller end,
+    each vertex's right edge before its down edge."""
+    edges = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            edges.append((v, v + 1))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols))
+    return Multigraph(rows * cols, tuple(edges))
+
+
+def interface(edges, split):
     """The vertices with an edge below `split` and one at or above it."""
-    below = {x for edge in g.edges[:split] for x in edge}
-    above = {x for edge in g.edges[split:] for x in edge}
+    below = {x for edge in edges[:split] for x in edge}
+    above = {x for edge in edges[split:] for x in edge}
     return below & above
 
 
-def check_every_split(g):
-    whole = _mask_walk(g, 0)
-    for split in range(1, g.m + 1):
-        assert _mask_walk(g, split) == whole, (g, split)
+def walk_orders(g, rng):
+    """The input order, the narrow order and one seeded shuffle."""
+    shuffled = list(range(g.m))
+    rng.shuffle(shuffled)
+    return [None, _narrow_order(g), shuffled]
+
+
+def check_every_walk(g, rng):
+    """Every order and split gives the acyclic masks of g as one strictly
+    ascending class, and the ν classes of simplify(g) as the click
+    closure's classes."""
+    zeros = [0] * g.m
+    whole = _mask_walk(g, zeros)
+    assert len(whole) == 1 and all(x < y for x, y in zip(whole[0], whole[0][1:])), g
+    for order in walk_orders(g, rng):
+        for split in range(g.m + 1):
+            assert _mask_walk(g, zeros, order, split) == whole, (g, order, split)
+    s = g.simplify()
+    weights = _nu_weights(s)
+    clicks = _click_class_masks(s)
+    for order in walk_orders(s, rng):
+        for split in range(s.m + 1):
+            assert _mask_walk(s, weights, order, split) == clicks, (s, order, split)
 
 
 def test_every_split_matches_the_unsplit_walk_on_the_corpus(small_corpus):
+    """In every walk order, and with the ν key as with no key."""
+    rng = random.Random(20261020)
     for g in small_corpus:
-        check_every_split(g)
+        check_every_walk(g, rng)
+        assert kappa_partition_bruteforce(g).classes == _click_class_masks(g)
 
 
 def test_every_split_matches_the_unsplit_walk_on_seeded_multigraphs():
+    """In every walk order, and with the ν key as with no key."""
+    rng = random.Random(20261019)
     seen = {"parallel": 0, "isolated": 0, "disconnected": 0}
-    for g in seeded_multigraphs(random.Random(20261019), 300, 7, 12):
-        check_every_split(g)
+    for g in seeded_multigraphs(rng, 300, 7, 12):
+        check_every_walk(g, rng)
+        assert kappa_partition_bruteforce(g).classes == _click_class_masks(g.simplify())
         seen["parallel"] += len(set(g.edges)) < g.m
         seen["isolated"] += 0 in g.degrees
         seen["disconnected"] += len(g.connected_components()) > 1
     assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(14), cycle_graph(16), wheel_graph(7), wheel_graph(8),
+    grid_graph(3, 3), PETERSEN,
+], ids=["C14", "C16", "W8", "W9", "grid3x3", "petersen"])
+def test_partition_matches_the_click_closure_on_scrambled_families(g):
+    h = scrambled(g, random.Random(g.m))
+    assert _walk_plan(h)[1]
+    part = kappa_partition_bruteforce(h)
+    assert part.classes == _click_class_masks(h)
+    assert part.class_count == kappa(h).value
+    members = sorted(bits for cls in part.classes for bits in cls)
+    assert members == list(_acyclic_masks(h))
 
 
 @pytest.mark.parametrize("n", [14, 16])
@@ -288,8 +356,8 @@ def test_split_walk_on_scrambled_cycles_gives_alpha(n):
     rng = random.Random(n)
     for _ in range(2):
         g = scrambled(cycle_graph(n), rng)
-        assert _split_point(g)
-        masks = _acyclic_masks.__wrapped__(g)
+        assert _walk_plan(g)[1]
+        masks = _acyclic_masks(g)
         assert len(masks) == 2**n - 2
         assert all(x < y for x, y in zip(masks, masks[1:]))
         missing = set(range(1 << n)).difference(masks)
@@ -298,69 +366,99 @@ def test_split_walk_on_scrambled_cycles_gives_alpha(n):
 
 
 def test_split_walk_matches_peel_on_scrambled_families():
-    wheel9 = Multigraph(
-        9, tuple([(0, v) for v in range(1, 9)] + [(v, v % 8 + 1) for v in range(1, 9)])
-    )
-    petersen = Multigraph(10, tuple(
-        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    ))
     rng = random.Random(24)
-    for g in (wheel9, petersen, grid_graph(3, 3)):
+    for g in (wheel_graph(8), PETERSEN, grid_graph(3, 3)):
         h = scrambled(g, rng)
-        while not _split_point(h):
+        while not _walk_plan(h)[1]:
             h = scrambled(g, rng)
-        assert _acyclic_masks.__wrapped__(h) == peeled_masks(h), h
+        assert _acyclic_masks(h) == peeled_masks(h), h
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_no_split_on_complete_graphs(n):
-    assert _split_point(complete_graph(n)) == 0
+    assert _walk_plan(complete_graph(n)) == (None, 0)
 
 
 def test_no_split_on_scrambled_k5_and_k6():
     rng = random.Random(56)
     for n in (5, 6):
         for _ in range(40):
-            assert _split_point(scrambled(complete_graph(n), rng)) == 0
+            assert _walk_plan(scrambled(complete_graph(n), rng)) == (None, 0)
 
 
 def test_no_split_on_parallel_edges_or_a_single_edge():
-    assert _split_point(Multigraph(2, ((0, 1),) * 3000)) == 0
-    assert _split_point(Multigraph(10**6 + 1, ((0, 10**6),))) == 0
+    assert _walk_plan(Multigraph(2, ((0, 1),) * 3000)) == (None, 0)
+    assert _walk_plan(Multigraph(10**6 + 1, ((0, 10**6),))) == (None, 0)
 
 
 @pytest.mark.parametrize("n", range(7, 21))
 def test_natural_cycles_split_at_two_vertices(n):
+    """In the input order: the narrow order splits them no better."""
     g = cycle_graph(n)
-    split = _split_point(g)
-    assert split and len(interface(g, split)) == 2
+    order, split = _walk_plan(g)
+    assert order is None and split and len(interface(g.edges, split)) == 2
+
+
+def test_natural_grid_keeps_the_input_order_at_the_deeper_split():
+    """The narrow order splits grid 4x4 at 6 edges with 3 interface
+    vertices, the input order at 12 with 4; the split at 12 walks faster,
+    so the input order is kept."""
+    g = row_major_grid(4, 4)
+    order = _narrow_order(g)
+    assert _split_point([g.edges[e] for e in order], 16) == (6, 3)
+    assert _split_point(g.edges, 16) == (12, 4)
+    assert _walk_plan(g) == (None, 12)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(16), wheel_graph(8)], ids=["C16", "W9"])
+def test_scrambled_cycle_and_wheel_take_the_narrow_order(g):
+    rng = random.Random(2026)
+    for _ in range(10):
+        h = scrambled(g, rng)
+        order, split = _walk_plan(h)
+        assert order == _narrow_order(h) and split, h
+        assert len(interface([h.edges[e] for e in order], split)) <= 3, h
 
 
 def test_no_split_below_seven_edges(small_corpus):
-    assert not any(_split_point(g) for g in small_corpus if g.m < 7)
-    assert not any(_split_point(cycle_graph(n)) for n in range(3, 7))
+    assert not any(_walk_plan(g)[1] for g in small_corpus if g.m < 7)
+    assert not any(_walk_plan(cycle_graph(n))[1] for n in range(3, 7))
+
+
+def test_unique_source_search_keeps_its_own_walk(monkeypatch):
+    """Sharing the mask walk with the transversal search was measured
+    about 10% slower on the benchmark's enumeration, so the search keeps
+    a walk of its own."""
+    def refuse(*args):
+        raise AssertionError("the transversal search ran the mask walk")
+
+    monkeypatch.setattr(orientations_module, "_mask_walk", refuse)
+    monkeypatch.setattr(orientations_module, "_completions", refuse)
+    assert len(unique_source_orientations(cycle_graph(8), 0)) == 7
+    assert len(unique_source_orientations(wheel_graph(6), 3)) == kappa(wheel_graph(6)).value
 
 
 def test_split_tables_live_for_one_call():
-    """The completions are tabled per call: nothing is left in the mask
-    cache or at module level, and the memory goes with the result."""
-    g = cycle_graph(18)
-    split = _split_point(g)
-    names = {name: id(value) for name, value in vars(orientations_module).items()}
-    info = _acyclic_masks.cache_info()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        masks = _mask_walk(g, split)
-        held = tracemalloc.get_traced_memory()[0] - base
-        del masks
-        left = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert _acyclic_masks.cache_info() == info
-    assert {name: id(value) for name, value in vars(orientations_module).items()} == names
-    assert held > 1 << 20 and left < 1 << 12, (held, left)
+    """The completions are tabled per call, for the masks and for the ν
+    classes, in the input order and in the narrow one: nothing is left at
+    module level, and the memory goes with the result."""
+    natural = cycle_graph(18)
+    for g in (natural, scrambled(natural, random.Random(18))):
+        order, split = _walk_plan(g)  # also fills g's cached degrees and incidence
+        assert split and (order is None) == (g is natural)
+        for group in (_acyclic_masks, _nu_classes):
+            names = {name: id(value) for name, value in vars(orientations_module).items()}
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                masks = group(g)
+                held = tracemalloc.get_traced_memory()[0] - base
+                del masks
+                left = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert {name: id(value) for name, value in vars(orientations_module).items()} == names
+            assert held > 1 << 20 and left < 1 << 12, (g, group, held, left)
 
 
 # ----- clicks -----
