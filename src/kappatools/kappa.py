@@ -17,8 +17,8 @@ no walk runs past a frontier of FRONTIER_CAP vertices.  The walk steps
 through every vertex but the last two; those two close in one product
 pass per state signature, the multiset of edge counts that they send
 into each frontier block, so on a clique the Bell(n) partitions of the
-last steps are never built.  `tutte._subset_counts` runs the same walk
-with other weights to build the full polynomial.
+last steps are never built.  `tutte.tutte_polynomial` runs the same walk
+once, at a point where its value packs the whole polynomial.
 
 `_partition_counts` works on vertices instead: p_k, the number of
 partitions of the n vertices into k independent sets, gives the chromatic
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial, prod
-from operator import lshift, mul
+from operator import lshift
 
 from .errors import CapExceededError, GraphInputError
 from .graphs import Multigraph, bfs_order, memo_key
@@ -106,7 +106,7 @@ def _cycle_value(m, x):
     return (x**m - x) // (x - 1)
 
 
-def frontier_sum(g, take, close, scale=mul):
+def frontier_sum(g, take, close):
     """Sum over the edge subsets A of a loop-free g of
     take^|A| * close^closed(A), where closed(A) = c(A) - c(E) and c counts
     the components of (V, A) over the vertices that touch an edge.
@@ -119,21 +119,20 @@ def frontier_sum(g, take, close, scale=mul):
     order of first occurrence; a vertex's first edge back appends its
     slot, with a new label if the edge is skipped and the other end's if
     it is taken, and merging or dropping blocks is one `bytes.translate`.
-    Taking an edge scales a weight by `take`.  A block that leaves the
-    frontier while other blocks remain open scales it by `close`; the
-    last block of a component does not, since the breadth-first order
+    Taking an edge multiplies a weight by `take`.  A block that leaves
+    the frontier while other blocks remain open multiplies it by `close`;
+    the last block of a component does not, since the breadth-first order
     keeps each component contiguous.  A weight that becomes 0 is dropped.
-    `scale` is the scaling: `mul`, or `lshift` when take and close are
-    shift amounts.  A walk whose frontier would pass FRONTIER_CAP vertices
-    raises CapExceededError before it starts.
+    A walk whose frontier would pass FRONTIER_CAP vertices raises
+    CapExceededError before it starts.
 
     The walk ends in closed form, with one product pass per state
     signature instead of the steps of the last two vertices u and p.
-    Write t and c for the multipliers, take and close (2^take and 2^close
-    under `lshift`).  Before u is placed, every edge still to come runs
-    from u or p, to a frontier slot or between u and p; a state's blocks
-    B get du_B and dp_B of them from u and from p, and delta edges join
-    u and p.  The rest of the walk scales the state by the sum over the
+    Write t and c for the multipliers, take and close.  Before u is
+    placed, every edge still to come runs from u or p, to a frontier slot
+    or between u and p; a state's blocks B get du_B and dp_B of them from
+    u and from p, and delta edges join u and p.  The rest of the walk
+    multiplies the state by the sum over the
     subsets S of those edges of t^|S| c^(k(S) - 1), k(S) the number of
     components the blocks, u and p form under S (every one closes but the
     last).  A block B is tied to u, with weight a_B = (1 + t)^du_B - 1
@@ -153,7 +152,7 @@ def frontier_sum(g, take, close, scale=mul):
 
     L depends only on the multiset of the pairs (du_B, dp_B), the state's
     signature, so `_close_last_two` first sums the weights per signature
-    and then scales each sum once.
+    and then multiplies each sum out once.
     """
     degree = g.degrees
     order = [v for v in bfs_order(g) if degree[v]]
@@ -187,7 +186,7 @@ def frontier_sum(g, take, close, scale=mul):
             if first:
                 for blocks, weight in states.items():
                     out[blocks + _LABEL[max(blocks) + 1]] = weight
-                    out[blocks + blocks[ia : ia + 1]] = scale(weight, take)
+                    out[blocks + blocks[ia : ia + 1]] = weight * take
                 first = False
             else:
                 out.update(states)
@@ -197,19 +196,19 @@ def frontier_sum(g, take, close, scale=mul):
                         if lo > hi:
                             lo, hi = hi, lo
                         blocks = blocks.translate(_MERGE[lo << 8 | hi])
-                    taken = scale(weight, take)
+                    taken = weight * take
                     old = out.get(blocks)
                     out[blocks] = taken if old is None else old + taken
             states = out
             for v in edges[i]:
                 if last[v] == i:
-                    states = _retire(states, frontier.index(v), close, scale)
+                    states = _retire(states, frontier.index(v), close)
                     frontier.remove(v)
             i += 1
-    return _close_last_two(states, frontier, edges[i:], len(order) - 2, take, close, scale)
+    return _close_last_two(states, frontier, edges[i:], len(order) - 2, take, close)
 
 
-def _close_last_two(states, frontier, edges, u, take, close, scale):
+def _close_last_two(states, frontier, edges, u, take, close):
     """The rest of the walk from the step of u, the last vertex but one:
     the sum over the states of weight * L (see `frontier_sum`), where
     `edges` are the edges still to come, each from u or from the last
@@ -217,19 +216,16 @@ def _close_last_two(states, frontier, edges, u, take, close, scale):
 
     The weights are summed first per integer key that holds the blocks'
     packed (du_B, dp_B) pairs in label order, and then per sorted tuple of
-    pairs, the signature.  Each signature's sum is scaled
+    pairs, the signature.  Each signature's sum is multiplied
     block by block by f_B + a_B = c + (1 + t)^du_B + (1 + t)^dp_B - 2 and
-    f_B + a_B g_B = c + (1 + t)^(du_B + dp_B) - 1, with a multiplication
-    by c as one `scale` by close.  The two factors differ only for a
-    block that both u and p reach, so the two products share one chain
-    over the other blocks.  A weight is never multiplied by a whole
-    product, which under `lshift` is a dense integer as long as the
-    weight itself.
+    f_B + a_B g_B = c + (1 + t)^(du_B + dp_B) - 1, each factor computed
+    once per pair.  The two factors differ only for a block that both u
+    and p reach, so the two products share one chain over the other
+    blocks.
     """
-    t = scale(1, take)
-    power = [1]  # power[k] = (1 + t)^k
+    power = [1]  # power[k] = (1 + take)^k
     for _ in edges:
-        power.append(power[-1] * (1 + t))
+        power.append(power[-1] * (1 + take))
     # slot j's edges from u and from p, packed as du_j * base + dp_j, so
     # that the sum over a block's slots packs (du_B, dp_B) the same way
     base = len(edges) + 1
@@ -266,19 +262,19 @@ def _close_last_two(states, frontier, edges, u, take, close, scale):
         for s in signature:
             if s not in terms:
                 du, dp = divmod(s, base)
-                terms[s] = (power[du] + power[dp] - 2, power[du + dp] - 1)
+                terms[s] = (close + power[du] + power[dp] - 2, close + power[du + dp] - 1)
             x, y = terms[s]
             if x == y:
-                weight = scale(weight, close) + weight * x
+                weight *= x
             else:
                 both.append((x, y))
         a = j = weight
         for x, y in both:
-            a = scale(a, close) + a * x
-            j = scale(j, close) + j * y
+            a *= x
+            j *= y
         apart += a
         joined += j
-    return scale(apart, close) - apart + power[delta] * joined
+    return (close - 1) * apart + power[delta] * joined
 
 
 def _frontier_width(edges, last):
@@ -312,9 +308,9 @@ _ROTATE = _Tables(lambda b, t, x: b + t if x == b else x - (b < x <= b + t))
 _LABEL = [bytes([x]) for x in range(256)]
 
 
-def _retire(states, j, close, scale):
+def _retire(states, j, close):
     """Drop frontier slot j from every partition.  A block that loses its
-    last frontier vertex while other blocks remain is scaled by `close`;
+    last frontier vertex while other blocks remain is multiplied by `close`;
     one whose first slot was j moves behind the blocks first seen before
     its next slot."""
     out = {}
@@ -324,7 +320,7 @@ def _retire(states, j, close, scale):
         k = rest.find(b)
         if k < 0:
             if rest:
-                weight = scale(weight, close)
+                weight *= close
                 if not weight:
                     continue
                 rest = rest.translate(_MERGE[b << 8 | b])

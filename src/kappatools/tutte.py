@@ -5,12 +5,15 @@ T(x, y) is the rank-nullity sum over all edge subsets A of
 `tutte_polynomial` computes it in one pass over the edges (Sekine, Imai
 and Tani, ISAAC 1995): `kappa.frontier_sum` takes the vertices in the
 breadth-first order of `graphs.bfs_order`, and for each partition of the
-frontier (the vertices seen that still have edges to come) it keeps the
-number of subsets per (corank, |A|), packed into one integer.  The work
-grows with the number of frontier partitions, not with 2^m.  The last
-two vertices close in one product pass per state signature (the edge
-counts they send into each frontier block), so on K_n the walk keeps
-Bell(n - 2) partitions, not Bell(n).  Evaluations
+frontier (the vertices seen that still have edges to come) it keeps one
+integer weight.  The work grows with the number of frontier partitions,
+not with 2^m.  The last two vertices close in one product pass per state
+signature (the edge counts they send into each frontier block), so on
+K_n the walk keeps Bell(n - 2) partitions, not Bell(n).  The walk runs
+once, at one integer point (a Kronecker substitution, Harvey, J.
+Symbolic Comput. 2009): y = 2^k and x = 2^(k w) with every coefficient
+below 2^k, so that T(x, y) is the coefficients side by side in k-bit
+fields, read off its bytes.  Evaluations
 at y=0 do not build the polynomial: they run the one y=0 engine of
 `kappatools.kappa`, which splits the graph into blocks and answers
 sparse blocks with the same frontier walk and dense ones by a DP over
@@ -18,15 +21,17 @@ vertex subsets, one forward pass by falling subset size, that counts
 partitions into independent sets.  So
 this polynomial and that engine share code, and the checks independent
 of both are brute force (`orientations`), the subset-expansion oracle
-below and the closed forms of the tests.
+below and the closed forms of the tests.  The oracle shares no step
+with the frontier walk: it counts subsets per (corank, nullity) by union
+find and expands them through binomials.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from math import comb
-from operator import lshift
+from itertools import repeat
+from math import comb, prod
 from types import MappingProxyType
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
@@ -106,44 +111,58 @@ def tutte_polynomial(g, cap=None):
     """Full Tutte polynomial of a multigraph (loops and parallels included).
 
     Each loop contributes a factor y and isolated vertices contribute
-    nothing; the rest is the rank-nullity sum over all edge subsets A,
-    computed by one frontier pass (`_subset_counts`) and expanded from
-    powers of (x-1), (y-1) to powers of x, y.
+    nothing.  For the loop-free rest, with m edges and rank
+    r = n - c(V, E), the rank-nullity sum regroups as
+    T(x, y) = (y-1)^(-r) sum over A of (y-1)^|A| ((x-1)(y-1))^(c(A)-c(E)),
+    which is `kappa.frontier_sum(g, y - 1, (x - 1)(y - 1))` divided by
+    (y-1)^r.  One walk runs at the point y = 2^k, x = 2^(k w), with
+    w = m - r + 1 the number of y-degrees (0 to the nullity m - r), and
+    the quotient is sum t_ab 2^(k (a w + b)): the coefficient t_ab sits in
+    the k-bit field a w + b.  No field carries into the next once every
+    t_ab < 2^k.  Every t_ab is nonnegative, so t_ab is at most
+    sum t_ab 2^(a+b) = T(2, 2) = 2^m and at most sum t_ab = T(1, 1), the
+    number of spanning forests, which is at most the product of the
+    degrees (a forest picks for each vertex but its component's root the
+    edge towards the root).  k is the bit length of the smaller bound,
+    rounded up to whole bytes: m + 1 on sparse graphs, about n log2(n - 1)
+    on a clique.  A division that leaves a remainder raises
+    InternalInvariantError.
     """
     _check_tutte_cap(g, cap)
     loop_free = g
     if g.has_loops:
         loop_free = Multigraph(g.n_vertices, tuple(e for e in g.edges if e[0] != e[1]))
-    return _from_corank_nullity(_subset_counts(loop_free), g.m - loop_free.m)
+    loops = g.m - loop_free.m
+    m = loop_free.m
+    components = UnionFind(loop_free.n_vertices)
+    for a, b in loop_free.edges:
+        components.union(a, b)
+    rank = loop_free.n_vertices - components.n_components
+    width = m - rank + 1
+    bound = min(1 << m, prod(d for d in loop_free.degrees if d))
+    size = (bound.bit_length() + 7) // 8  # bytes per field
+    y1 = (1 << 8 * size) - 1
+    total = frontier_sum(loop_free, y1, ((1 << 8 * size * width) - 1) * y1)
+    packed, rest = divmod(total, y1**rank)
+    length = (rank + 1) * width * size
+    if rest or not 0 < packed < 1 << 8 * length:
+        raise InternalInvariantError(
+            f"the frontier sum at y = 2^{8 * size} is not (y-1)^{rank} times"
+            " a packed polynomial"
+        )
+    data = packed.to_bytes(length, "little")
+    fields = [data[i : i + size] for i in range(0, length, size)]
+    return TuttePolynomial(
+        {
+            (f // width, f % width + loops): c
+            for f, c in enumerate(map(int.from_bytes, fields, repeat("little")))
+            if c
+        }
+    )
 
 
-def _subset_counts(g):
-    """{(corank, nullity): number of edge subsets A} of a loop-free graph g.
-
-    corank = c(A) - c(E) and nullity = |A| - n' + c(A), with c counting the
-    components of (V, A) over the n' vertices that touch an edge, so the
-    nullity is |A| - r(E) + corank with r(E) = n - c(V, E).  One
-    `kappa.frontier_sum` walk carries the count per (corank, |A|) in one
-    integer: taking an edge shifts it by m + 1 bits and a component that
-    closes early by (m + 1)^2, so the count of a pair sits in the bits from
-    (corank * (m + 1) + |A|) * (m + 1) up.  No count exceeds 2^m, so
-    m + 1 bits per slot never carry.
-    """
-    bits = g.m + 1
-    weight = frontier_sum(g, bits, bits * bits, lshift)
-    rank = g.n_vertices - len(g.connected_components())
-    mask = (1 << bits) - 1
-    counts = {}
-    for slot in range(weight.bit_length() // bits + 1):
-        count = (weight >> slot * bits) & mask
-        if count:
-            corank, size = divmod(slot, bits)
-            counts[corank, size - rank + corank] = count
-    return counts
-
-
-def _from_corank_nullity(counts, loops=0):
-    """y^loops * sum of count (x-1)^i (y-1)^j over counts {(i, j): count}."""
+def _from_corank_nullity(counts):
+    """The sum of count (x-1)^i (y-1)^j over counts {(i, j): count}."""
     # (t-1)^k = sum over a of comb(k, a) (-1)^(k-a) t^a
     top = max(max(key) for key in counts)
     signed = [[comb(k, a) * (-1) ** (k - a) for a in range(k + 1)] for k in range(top + 1)]
@@ -151,7 +170,7 @@ def _from_corank_nullity(counts, loops=0):
     for (i, j), count in counts.items():
         for a, s in enumerate(signed[i]):
             for b, t in enumerate(signed[j]):
-                coeffs[a, b + loops] += count * s * t
+                coeffs[a, b] += count * s * t
     return TuttePolynomial(coeffs)
 
 

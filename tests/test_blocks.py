@@ -12,7 +12,6 @@ leaves before its later ones.
 import importlib
 import random
 import time
-from operator import mul
 
 import pytest
 
@@ -222,7 +221,7 @@ def test_retire_keeps_partitions_canonical():
                 if k[j] not in rest and rest:
                     w *= 3
                 expected[key] = expected.get(key, 0) + w
-            assert _retire(states, j, 3, mul) == expected, (length, j)
+            assert _retire(states, j, 3) == expected, (length, j)
 
 
 @pytest.mark.parametrize("name, g", [("grid4x4", grid(4, 4)), ("W12", wheel(12)), ("petersen", PETERSEN)])

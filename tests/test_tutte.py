@@ -3,6 +3,7 @@ and the y=0 engine."""
 
 import importlib
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from kappatools.kappa import kappa
 from kappatools.orientations import enumerate_acyclic
 from kappatools.tutte import (
     TuttePolynomial,
-    _subset_counts,
+    _from_corank_nullity,
     tutte_eval,
     tutte_oracle_rank_nullity,
     tutte_polynomial,
@@ -54,6 +55,8 @@ def test_edgeless_graph_is_one():
     poly = tutte_polynomial(Multigraph(4, ()))
     assert poly == TuttePolynomial({(0, 0): 1})
     assert poly.evaluate(7, -3) == 1
+    for n in (0, 1):
+        assert tutte_polynomial(Multigraph(n, ())) == poly
 
 
 def test_constant_coefficient_vanishes_with_edges():
@@ -63,6 +66,11 @@ def test_constant_coefficient_vanishes_with_edges():
 
 def test_tree_is_x_power():
     assert tutte_polynomial(path_graph(5)) == TuttePolynomial({(4, 0): 1})
+    # one field per power of x (w = 1), with two isolated vertices
+    rng = random.Random(43)
+    for n in range(2, 20):
+        edges = tuple((rng.randrange(v), v) for v in range(1, n))
+        assert tutte_polynomial(Multigraph(n + 2, edges)) == TuttePolynomial({(n - 1, 0): 1})
 
 
 def test_bridges_and_loops_mix():
@@ -229,7 +237,89 @@ def test_subset_counts_on_disconnected_graphs():
         graphs.append(Multigraph(n, tuple(edges)))
     assert any(len(g.connected_components()) > 2 for g in graphs)
     for g in graphs:
-        assert _subset_counts(g) == _subset_counts_by_enumeration(g), g
+        expected = _from_corank_nullity(_subset_counts_by_enumeration(g))
+        assert tutte_polynomial(g) == expected, g
+
+
+def _clique_counts(n):
+    """{(corank, nullity): number of edge subsets} of K_n by the
+    exponential formula on labelled graphs, with no walk and no union find."""
+
+    def pairs(j):
+        return j * (j - 1) // 2
+
+    # connected[j][e]: the connected spanning edge sets of K_j with e edges,
+    # all edge sets less those whose first vertex's component has i < j vertices
+    connected = [[]]
+    for j in range(1, n + 1):
+        row = [comb(pairs(j), e) for e in range(pairs(j) + 1)]
+        for i in range(1, j):
+            for e1, c1 in enumerate(connected[i]):
+                for e2 in range(pairs(j - i) + 1):
+                    row[e1 + e2] -= comb(j - 1, i - 1) * c1 * comb(pairs(j - i), e2)
+        connected.append(row)
+    # spanning[j]: {(components, edges): edge sets of K_j}
+    spanning = [{(0, 0): 1}]
+    for j in range(1, n + 1):
+        out = {}
+        for i in range(1, j + 1):
+            for e1, c1 in enumerate(connected[i]):
+                for (k, e2), c2 in spanning[j - i].items():
+                    key = k + 1, e1 + e2
+                    out[key] = out.get(key, 0) + comb(j - 1, i - 1) * c1 * c2
+        spanning.append(out)
+    return {(k - 1, e - n + k): c for (k, e), c in spanning[n].items() if c}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cliques_against_the_exponential_formula(n):
+    g = complete_graph(n)
+    poly = tutte_polynomial(g)
+    assert poly == _from_corank_nullity(_clique_counts(n))
+    if n <= 5:
+        assert poly == tutte_oracle_rank_nullity(g)
+    if n == 7:
+        # wider than one byte, so fields of 8 bits would carry
+        assert max(poly.coeffs.values()) == 1330
+
+
+# The polynomial is read off k-bit fields, w = m - r + 1 of them per power
+# of x; the tests of trees and edgeless graphs above pin w = 1.
+
+
+def test_bundles_fill_one_row_of_fields():
+    for m in range(2, 20):
+        g = Multigraph(2, ((0, 1),) * m)  # r = 1, w = m
+        expected = TuttePolynomial({(1, 0): 1} | {(0, j): 1 for j in range(1, m)})
+        assert tutte_polynomial(g) == expected, m
+
+
+def test_loops_alone_shift_the_one_field():
+    for m in range(1, 20):
+        for n in (1, 3):
+            g = Multigraph(n, tuple((i % n, i % n) for i in range(m)))  # r = 0
+            assert tutte_polynomial(g) == TuttePolynomial({(0, m): 1}), (n, m)
+
+
+def test_disconnected_graphs_with_isolated_vertices_multiply():
+    parts = (cycle_graph(4), Multigraph(2, ((0, 1),) * 3), complete_graph(4), SINGLE_LOOP)
+    edges, n = [], 0
+    for part in parts:
+        edges += [(a + n, b + n) for a, b in part.edges]
+        n += part.n_vertices + 2  # two isolated vertices after each part
+    expected = TuttePolynomial({(0, 0): 1})
+    for part in parts:
+        expected = expected * tutte_polynomial(part)
+    assert tutte_polynomial(Multigraph(n, tuple(edges))) == expected
+
+
+@pytest.mark.parametrize("off", (1, -1))
+def test_a_remainder_of_the_division_is_an_internal_error(monkeypatch, off):
+    tutte_module = importlib.import_module("kappatools.tutte")
+    frontier_sum = tutte_module.frontier_sum
+    monkeypatch.setattr(tutte_module, "frontier_sum", lambda *args: frontier_sum(*args) + off)
+    with pytest.raises(InternalInvariantError, match="packed polynomial"):
+        tutte_polynomial(cycle_graph(5))
 
 
 def test_kappa_identity_on_random_graphs():
