@@ -285,12 +285,23 @@ def bfs_order(g):
     neighbours are queued in (degree, label) order, which keeps the
     frontier narrow on paths, grids and wheels.  Isolated vertices are
     components of their own, so they come first.
+
+    A vertex v is named by the integer key degree * n + v, which sorts as
+    (degree, label), and each vertex holds the set of its neighbours'
+    keys, so every sort is over plain integers and a key gives its vertex
+    back as key % n.  A loop makes a vertex its own neighbour, which is
+    already seen when its set is read.
     """
-    inc = g._incidence
-    rank = [(d, v) for v, d in enumerate(g.degrees)].__getitem__
-    seen = [False] * g.n_vertices
+    n = g.n_vertices
+    key = [d * n + v for v, d in enumerate(g.degrees)]
+    neighbours = [set() for _ in range(n)]
+    for a, b in g.edges:
+        neighbours[a].add(key[b])
+        neighbours[b].add(key[a])
+    seen = [False] * n
     order = []
-    for root in sorted(range(g.n_vertices), key=rank):
+    for root in sorted(key):
+        root %= n
         if seen[root]:
             continue
         seen[root] = True
@@ -299,7 +310,8 @@ def bfs_order(g):
         while head < len(order):
             v = order[head]
             head += 1
-            for w in sorted({w for _, w in inc[v]}, key=rank):
+            for w in sorted(neighbours[v]):
+                w %= n
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)

@@ -5,10 +5,14 @@ y = 0: `kappa` runs it at x = 1, and `tutte_eval(g, x, 0)` at any integer
 x (x = 2 counts acyclic orientations).  Parallel edges collapse, and
 T multiplies over blocks, the 2-connected pieces that cut vertices
 separate: `_blocks` relabels the blocks of `Multigraph.blocks`, and each
-bridge contributes a factor x.  A block that is a cycle C_m is answered
-in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A sparse
-block, one with fewer than DENSE_SHARE of all vertex pairs as edges, is
-answered by `frontier_sum`; a dense one by `_partition_counts`.
+bridge contributes a factor x.  A simple input that is one block, such
+as a cycle, wheel, grid, clique or the Petersen graph, is taken as it
+stands, so `kappa(g)` and `tutte_eval(g, x, 0)` build no graph and reuse
+the blocks and degrees that g caches; a graph of several blocks still
+gets one relabelled graph per block.  A block that is a cycle C_m is
+answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
+sparse block, one with fewer than DENSE_SHARE of all vertex pairs as
+edges, is answered by `frontier_sum`; a dense one by `_partition_counts`.
 
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
@@ -159,7 +163,11 @@ def frontier_sum(g, take, close):
     pos = [0] * g.n_vertices
     for i, v in enumerate(order):
         pos[v] = i
-    edges = sorted((max(pos[a], pos[b]), min(pos[a], pos[b])) for a, b in g.edges)
+    edges = []  # (later, earlier) positions
+    for a, b in g.edges:
+        a, b = pos[a], pos[b]
+        edges.append((a, b) if a > b else (b, a))
+    edges.sort()
     last = [0] * len(order)
     for i, (hi, lo) in enumerate(edges):
         last[hi] = last[lo] = i
@@ -405,20 +413,36 @@ def _blocks(g):
     more edges, its vertices relabelled in ascending order and its edges
     in simplify(g)'s order.  A block's parallel copies collapse to the
     first; a block left with one edge is a bridge of simplify(g).
+
+    A g that is its own one block, with no parallel edge and no edgeless
+    vertex, is returned itself: relabelling and collapsing would rebuild
+    an equal graph, and the cycle rule, the walk and the subset DP then
+    read the degrees that g has already cached.  A g of several blocks still
+    gets a relabelled graph per block, since the subset DP gives each
+    vertex of its piece a bit and the walk sizes its tables by the
+    piece's vertex count, not by g's.
     """
+    blocks = g.blocks
+    if (
+        len(blocks) == 1
+        and len(blocks[0]) == g.m > 1
+        and 0 not in g.degrees
+        and len(set(g.edges)) == g.m
+    ):
+        return 0, [g]
     bridges = 0
-    blocks = []
-    for ids in g.blocks:
+    pieces = []
+    for ids in blocks:
         edges = list(dict.fromkeys(g.edges[e] for e in ids))
         if len(edges) == 1:
             bridges += 1
             continue
         vertices = sorted({x for e in edges for x in e})
         label = {x: i for i, x in enumerate(vertices)}
-        blocks.append(
+        pieces.append(
             Multigraph(len(vertices), tuple((label[a], label[b]) for a, b in edges))
         )
-    return bridges, blocks
+    return bridges, pieces
 
 
 def _solve(g, x, stats):

@@ -6,6 +6,7 @@ their wall-clock bound.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import kappatools
 from kappatools.collapse import build_collapse_graph, verify_collapse_structure
 from kappatools.corpus import cycle_graph, random_multigraph
 from kappatools.graphs import EdgeKind
@@ -274,8 +276,11 @@ def test_c10_verify_reports_are_byte_identical():
         "--format",
         "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=False)
-    second = subprocess.run(cmd, capture_output=True, check=False)
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(kappatools.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    first = subprocess.run(cmd, capture_output=True, check=False, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=False, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

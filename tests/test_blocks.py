@@ -4,9 +4,10 @@
 `_blocks` is checked against the subset-expansion oracle, and
 `Multigraph.blocks` against edge and vertex deletions counted by
 `connected_components` and `UnionFind`; neither oracle shares code with
-the depth-first pass.  The walk is checked under many labellings, since
-the relabelling on retire only runs when a block's first frontier slot
-leaves before its later ones.
+the depth-first pass.  The input that `_blocks` returns as its own block
+is checked against the relabelled block it stands for.  The walk is
+checked under many labellings, since the relabelling on retire only runs
+when a block's first frontier slot leaves before its later ones.
 """
 
 import importlib
@@ -16,7 +17,7 @@ import time
 import pytest
 
 from kappatools.cli import main
-from kappatools.corpus import random_multigraph
+from kappatools.corpus import complete_graph, cycle_graph, random_multigraph
 from kappatools.errors import CapExceededError
 from kappatools.graphs import Multigraph, UnionFind
 from kappatools.kappa import FRONTIER_CAP, _blocks, _core, _retire, kappa
@@ -178,22 +179,108 @@ def test_a_two_connected_graph_is_its_one_block(block_corpus):
     assert checked > 100
 
 
+def relabelled_blocks(g):
+    """`_blocks` with every block rebuilt: its parallel copies collapsed
+    and its vertices relabelled in ascending order, even when the block
+    is all of g."""
+    bridges = 0
+    blocks = []
+    for ids in g.blocks:
+        edges = list(dict.fromkeys(g.edges[e] for e in ids))
+        if len(edges) == 1:
+            bridges += 1
+            continue
+        vertices = sorted({x for e in edges for x in e})
+        label = {x: i for i, x in enumerate(vertices)}
+        blocks.append(Multigraph(len(vertices), tuple((label[a], label[b]) for a, b in edges)))
+    return bridges, blocks
+
+
+IN_PLACE = [
+    ("grid5x5", grid(5, 5)),
+    ("W14", wheel(14)),
+    ("petersen", PETERSEN),
+    ("K9", complete_graph(9)),
+    ("C50", cycle_graph(50)),
+]
+
+
+@pytest.mark.parametrize("name, g", IN_PLACE, ids=[name for name, _ in IN_PLACE])
+def test_a_two_connected_simple_graph_is_taken_in_place(name, g):
+    rng = random.Random(f"in-place:{name}")
+    for h in (g, scrambled(g, rng), scrambled(g, rng)):
+        bridges, blocks = _blocks(h)
+        assert bridges == 0 and len(blocks) == 1 and blocks[0] is h, h
+
+
+def test_in_place_blocks_equal_the_relabelled_ones(block_corpus):
+    rng = random.Random(29)
+    seeded = [random_multigraph(rng, 10, 20, allow_loops=False) for _ in range(1000)]
+    seeded += [scrambled(g, rng) for _, g in IN_PLACE for _ in range(20)]
+    in_place = 0
+    for g in block_corpus + seeded:
+        result = _blocks(g)
+        assert result == relabelled_blocks(g), g
+        in_place += any(b is g for b in result[1])
+    assert in_place > 300
+
+
+TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
+
+
+@pytest.mark.parametrize(
+    "g, bridges, blocks",
+    [
+        (Multigraph(3, ((0, 1), (1, 2), (0, 2), (1, 2))), 0, [TRIANGLE]),
+        (Multigraph(4, ((0, 1), (1, 2), (0, 2))), 0, [TRIANGLE]),
+        (Multigraph(4, ((0, 1), (1, 2), (0, 2), (2, 3))), 1, [TRIANGLE]),
+        (Multigraph(2, ((0, 1),)), 1, []),
+        (Multigraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4))), 0, [TRIANGLE, TRIANGLE]),
+    ],
+    ids=["parallel-edge", "isolated-vertex", "pendant-edge", "single-edge", "two-triangles"],
+)
+def test_other_graphs_are_rebuilt_block_by_block(g, bridges, blocks):
+    assert _blocks(g) == (bridges, blocks) == relabelled_blocks(g)
+    assert all(b is not g for b in _blocks(g)[1])
+
+
+def test_a_dense_block_in_place_counts_the_same_subsets(monkeypatch):
+    rng = random.Random("dense")
+    k9 = complete_graph(9)
+    # 36 of the 45 pairs
+    dense = Multigraph(10, tuple((a, b) for a in range(10) for b in range(a + 1, 10) if (a + 2 * b) % 5))
+    graphs = [k9, scrambled(k9, rng), dense, scrambled(dense, rng)]
+    results = []
+    for g in graphs:
+        assert _blocks(g)[1][0] is g, g
+        results.append(kappa(g))
+    monkeypatch.setattr(KAPPA_MODULE, "_blocks", relabelled_blocks)
+    for g, result in zip(graphs, results):
+        copy = relabelled_blocks(g)[1][0]
+        assert copy is not g
+        expected = kappa(copy)
+        assert result.cache_stats.misses > 0, g
+        assert (result.value, result.cache_stats) == (expected.value, expected.cache_stats), g
+
+
 @pytest.mark.parametrize(
     "g, value",
     [
         (Multigraph(100_001, tuple((i, i + 1) for i in range(100_000))), 1),
+        (cycle_graph(100_001), 100_000),
         (triangle_chain(10_000), 2**10_000),
         (friendship(300), 2**300),
         (Multigraph(3, ((0, 1), (1, 2), (0, 2)) * 30_000), 2),
         (Multigraph(2, ((0, 1),) * 100_000), 1),
     ],
-    ids=["path-100001", "triangle-chain-10000", "friendship-300", "triangle-x30000", "parallel-100000"],
+    ids=["path-100001", "cycle-100001", "triangle-chain-10000", "friendship-300", "triangle-x30000", "parallel-100000"],
 )
 def test_long_and_wide_inputs_stay_linear(g, value):
     # a block search that looks up the tree edge on its edge stack is
     # quadratic on the path; a split at bridges only leaves F_300 one
     # piece with a 301-vertex frontier; and the parallel copies enter the
-    # block search, one back edge each
+    # block search, one back edge each; the cycle is one block, taken in
+    # place with no rebuilt graph
     start = time.perf_counter()
     assert kappa(g).value == value
     assert time.perf_counter() - start < 2

@@ -1,4 +1,7 @@
-"""Multigraph structure: deletion, contraction, classification, simplify."""
+"""Multigraph structure: deletion, contraction, classification, simplify,
+and the breadth-first order against a reference copy."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from kappatools.graphs import (
     MAX_PARSED_VERTICES,
     EdgeKind,
     Multigraph,
+    bfs_order,
     contraction_map,
     memo_key,
     parse_edge_list,
@@ -220,6 +224,52 @@ def test_parse_rejects_absurd_vertex_counts():
 def test_parse_reports_missing_edges():
     with pytest.raises(EdgeListParseError):
         parse_edge_list("3 2\n0 1\n")
+
+
+def reference_bfs_order(g):
+    """`bfs_order` as it was written with (degree, label) tuple keys and
+    neighbour sets taken from the incidence lists, kept as its oracle."""
+    inc = g._incidence
+    rank = [(d, v) for v, d in enumerate(g.degrees)].__getitem__
+    seen = [False] * g.n_vertices
+    order = []
+    for root in sorted(range(g.n_vertices), key=rank):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in sorted({w for _, w in inc[v]}, key=rank):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+    return order
+
+
+def seeded_multigraphs(count, seed):
+    """Multigraphs on 0..14 vertices with loops, parallel edges and
+    isolated vertices likely, the empty graph first."""
+    rng = random.Random(seed)
+    graphs = [Multigraph(0, ())]
+    while len(graphs) < count:
+        n = rng.randint(1, 14)
+        m = rng.randint(0, 2 * n)
+        graphs.append(
+            Multigraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
+        )
+    return graphs
+
+
+def test_bfs_order_matches_its_reference(small_corpus):
+    multigraphs = seeded_multigraphs(3000, 29)
+    assert any(g.has_loops for g in multigraphs)
+    assert any(g.m != len(set(g.edges)) for g in multigraphs)
+    assert any(0 in g.degrees for g in multigraphs)
+    for g in small_corpus + multigraphs:
+        assert bfs_order(g) == reference_bfs_order(g), g
 
 
 def test_memo_key_is_label_insensitive_for_relabelings_of_cycles():
