@@ -27,6 +27,7 @@ from .orientations import (
     _chunk_tables,
     _is_acyclic_bits,
     _normalize_bits,
+    _translate,
     kappa_partition_bruteforce,
 )
 
@@ -62,11 +63,10 @@ class _Lifter:
         self.tables = _chunk_tables(sources)
 
     def lift(self, bits, direction):
-        """The mask of g lifted from a mask of the contraction."""
-        lifted = self.flipped | (direction - 1) << self.e
-        for low, table in self.tables:
-            lifted ^= table[bits >> low & 0x7FF]
-        return lifted
+        """The mask of g lifted from a mask of the contraction: the edges
+        that map onto its set bits, each flipped edge toggled, and bit e
+        for direction 2.  Bit e is in no source mask and no flip."""
+        return (self.flipped ^ _translate(self.tables, bits)) | (direction - 1) << self.e
 
 
 def lift_orientation(o_contracted, direction, g, e):

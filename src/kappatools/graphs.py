@@ -8,7 +8,11 @@ renumber the edges of their input.
 
 `Multigraph.blocks` is the one depth-first split of a graph into blocks
 and bridges.  Edge classification, the bridgeless core and the y = 0
-engine's split (`kappa._blocks`) all read it.
+engine's split (`kappa._blocks`) all read it.  `Multigraph.walk_order`
+is the one edge order of the frontier walk, built from `bfs_order` once
+per graph; `kappa.frontier_sum` and the acyclic-mask walk's split
+(`orientations._walk_plan`) both read it.  `memo_key` orders its own
+vertices by `bfs_order`, so the trace keys do not follow the walk order.
 """
 
 from __future__ import annotations
@@ -202,6 +206,32 @@ class Multigraph:
         return tuple(blocks)
 
     @cached_property
+    def walk_order(self):
+        """The edge order of the frontier walk, one (later, earlier, id)
+        triple per edge.
+
+        The vertices that have an edge are placed in `bfs_order`, and each
+        edge is named by the places of its later and earlier end and its
+        id; one sort of the triples orders the edges by later place, then
+        earlier place, parallel copies by id.  `kappa.frontier_sum` walks
+        the place pairs, and `orientations._walk_plan` splits the ids.  A
+        prefix of the order touches a breadth-first prefix of the
+        vertices, whose frontier is narrow on paths, cycles, grids and
+        wheels whatever the labels.
+        """
+        degree = self.degrees
+        order = [v for v in bfs_order(self) if degree[v]]
+        place = [0] * self.n_vertices
+        for i, v in enumerate(order):
+            place[v] = i
+        edges = []
+        for e, (a, b) in enumerate(self.edges):
+            a, b = place[a], place[b]
+            edges.append((a, b, e) if a > b else (b, a, e))
+        edges.sort()
+        return tuple(edges)
+
+    @cached_property
     def _bridge_ids(self):
         """Edge ids of bridges: the blocks of one edge."""
         return frozenset(b[0] for b in self.blocks if len(b) == 1)
@@ -325,7 +355,9 @@ def memo_key(g):
     Vertices are relabeled by `bfs_order` and the edge multiset is
     serialized sorted.  The key is stable for equal-shaped inputs met
     along a recursion but is NOT an isomorphism-canonical form; no engine
-    value depends on it.
+    value depends on it.  It calls `bfs_order` itself rather than reading
+    `Multigraph.walk_order`, so that the walk order can change without
+    changing the keys that `kappa --trace` prints.
     """
     relabel = {old: new for new, old in enumerate(bfs_order(g))}
     pairs = sorted(

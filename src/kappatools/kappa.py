@@ -17,12 +17,15 @@ edges, is answered by `frontier_sum`; a dense one by `_partition_counts`.
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
 ISAAC 1995), each partition a `bytes` key of one label per vertex, so
-no walk runs past a frontier of FRONTIER_CAP vertices.  The walk steps
-through every vertex but the last two; those two close in one product
-pass per state signature, the multiset of edge counts that they send
-into each frontier block, so on a clique the Bell(n) partitions of the
-last steps are never built.  `tutte.tutte_polynomial` runs the same walk
-once, at a point where its value packs the whole polynomial.
+no walk runs past a frontier of FRONTIER_CAP vertices.  It takes the
+edges in `Multigraph.walk_order`, which the graph keeps, so `kappa(g)`
+and `tutte_eval(g, x, 0)` on an input taken in place order it once.
+The walk steps through every vertex but the last two; those two close
+in one product pass per state signature, the multiset of edge counts
+that they send into each frontier block, so on a clique the Bell(n)
+partitions of the last steps are never built.  `tutte.tutte_polynomial`
+runs the same walk once, at a point where its value packs the whole
+polynomial.
 
 `_partition_counts` works on vertices instead: p_k, the number of
 partitions of the n vertices into k independent sets, gives the chromatic
@@ -50,7 +53,7 @@ from math import factorial, prod
 from operator import lshift
 
 from .errors import CapExceededError, GraphInputError
-from .graphs import Multigraph, bfs_order, memo_key
+from .graphs import Multigraph, memo_key
 
 TRACE_LEAF_CAP = 10_000
 
@@ -115,14 +118,15 @@ def frontier_sum(g, take, close):
     take^|A| * close^closed(A), where closed(A) = c(A) - c(E) and c counts
     the components of (V, A) over the vertices that touch an edge.
 
-    Those vertices are taken in `graphs.bfs_order`, each edge at its later
-    endpoint, and a vertex leaves the frontier after its last edge.  For
-    every canonical partition of the frontier vertices one integer holds
-    the summed weight of the subsets reaching it.  A partition is a
-    `bytes` key, one block label per frontier slot, labels numbered in
-    order of first occurrence; a vertex's first edge back appends its
-    slot, with a new label if the edge is skipped and the other end's if
-    it is taken, and merging or dropping blocks is one `bytes.translate`.
+    Those vertices are taken in `graphs.bfs_order` and the edges in
+    `Multigraph.walk_order`, each at its later endpoint, and a vertex
+    leaves the frontier after its last edge.  For every canonical
+    partition of the frontier vertices one integer holds the summed
+    weight of the subsets reaching it.  A partition is a `bytes` key, one
+    block label per frontier slot, labels numbered in order of first
+    occurrence; a vertex's first edge back appends its slot, with a new
+    label if the edge is skipped and the other end's if it is taken, and
+    merging or dropping blocks is one `bytes.translate`.
     Taking an edge multiplies a weight by `take`.  A block that leaves
     the frontier while other blocks remain open multiplies it by `close`;
     the last block of a component does not, since the breadth-first order
@@ -158,18 +162,10 @@ def frontier_sum(g, take, close):
     signature, so `_close_last_two` first sums the weights per signature
     and then multiplies each sum out once.
     """
-    degree = g.degrees
-    order = [v for v in bfs_order(g) if degree[v]]
-    pos = [0] * g.n_vertices
-    for i, v in enumerate(order):
-        pos[v] = i
-    edges = []  # (later, earlier) positions
-    for a, b in g.edges:
-        a, b = pos[a], pos[b]
-        edges.append((a, b) if a > b else (b, a))
-    edges.sort()
-    last = [0] * len(order)
-    for i, (hi, lo) in enumerate(edges):
+    edges = g.walk_order  # (later, earlier, id)
+    placed = g.n_vertices - g.degrees.count(0)
+    last = [0] * placed
+    for i, (hi, lo, _) in enumerate(edges):
         last[hi] = last[lo] = i
     width = _frontier_width(edges, last)
     if width > FRONTIER_CAP:
@@ -179,7 +175,7 @@ def frontier_sum(g, take, close):
     states = {b"": 1}
     frontier = []
     i = 0
-    for p in range(len(order) - 2):
+    for p in range(placed - 2):
         frontier.append(p)
         if i == len(edges) or edges[i][0] != p:
             # the first vertex of a component: no edge back, a block of its own
@@ -189,7 +185,8 @@ def frontier_sum(g, take, close):
             }
         first = True
         while i < len(edges) and edges[i][0] == p:
-            ia = frontier.index(edges[i][1])
+            q = edges[i][1]
+            ia = frontier.index(q)
             out = {}
             if first:
                 for blocks, weight in states.items():
@@ -208,19 +205,19 @@ def frontier_sum(g, take, close):
                     old = out.get(blocks)
                     out[blocks] = taken if old is None else old + taken
             states = out
-            for v in edges[i]:
+            for v in (p, q):
                 if last[v] == i:
                     states = _retire(states, frontier.index(v), close)
                     frontier.remove(v)
             i += 1
-    return _close_last_two(states, frontier, edges[i:], len(order) - 2, take, close)
+    return _close_last_two(states, frontier, edges[i:], placed - 2, take, close)
 
 
 def _close_last_two(states, frontier, edges, u, take, close):
     """The rest of the walk from the step of u, the last vertex but one:
     the sum over the states of weight * L (see `frontier_sum`), where
-    `edges` are the edges still to come, each from u or from the last
-    vertex p.
+    `edges` are the `Multigraph.walk_order` triples still to come, each
+    from u or from the last vertex p.
 
     The weights are summed first per integer key that holds the blocks'
     packed (du_B, dp_B) pairs in label order, and then per sorted tuple of
@@ -240,7 +237,7 @@ def _close_last_two(states, frontier, edges, u, take, close):
     pair = [0] * len(frontier)
     slot = {v: j for j, v in enumerate(frontier)}
     delta = 0
-    for hi, lo in edges:
+    for hi, lo, _ in edges:
         if lo == u:
             delta += 1
         else:

@@ -11,12 +11,14 @@ direction is always open, so the work follows the number of acyclic
 masks rather than 2^m (`_completions`).  On a sparse graph the search is
 split once, at an edge position where few vertices have edges on both
 sides (`_split_point`), in the input edge order or, where that order has
-no narrow prefix, in a breadth-first edge order (`_walk_plan`): the
-branches over the upper edges that leave the same reach relation between
-those vertices have the same completions below, so each such relation's
-completions are walked once per call (`_mask_walk`).  The walk is keyed:
-it carries the sum of per-edge weights over the set bits as it carries
-the bits, and groups the masks by that key as it makes them.  With every
+no narrow prefix, in the breadth-first edge order that the frontier walk
+of `kappa` takes too (`Multigraph.walk_order`, chosen by `_walk_plan`):
+the branches over the upper edges that leave the same reach relation
+between those vertices have the same completions below, so each such
+relation's completions are walked once per call (`_mask_walk`).  The
+walk is keyed: it carries the sum of per-edge weights over the set bits
+as it carries the bits, and groups the masks by that key as it makes
+them.  With every
 weight 0 it gives the acyclic masks (`_acyclic_masks`), and with the
 weights of a packed ν key the click classes (`_nu_classes`).  `_peels`,
 which peels sources off one mask, is the check for a single mask and the
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
-from .graphs import Multigraph, UnionFind, bfs_order
+from .graphs import Multigraph, UnionFind
 
 DEFAULT_BRUTE_FORCE_CAP = 20
 
@@ -133,11 +135,13 @@ def _walk_plan(g):
     `_split_point` can only cut the edge order it is given at a prefix,
     and a scrambled order has no narrow prefix: scrambled C16 walked in
     27-30 ms against 8.7 ms for the natural one.  So the split is also
-    sought in the narrow order of `_narrow_order`.  That order is taken
-    when it splits and the input order's split is refused, or when its
-    split has no more interface vertices at a position no smaller, and is
-    better in one of the two.  The position matters as well as the width:
-    an order chosen by width alone sent the natural grid 4x4 to a split
+    sought in the edge ids of `Multigraph.walk_order`, the frontier walk's
+    order, whose prefixes touch breadth-first prefixes of the vertices
+    whatever the labels.  That narrow order is taken when it splits and
+    the input order's split is refused, or when its split has no more
+    interface vertices at a position no smaller, and is better in one of
+    the two.  The position matters as well as the width: an order chosen
+    by width alone sent the natural grid 4x4 to a split
     at 6 edges, whose walk ran 1.6x slower than the input order's at 12.
     And a scrambled W9 whose input order split at 4 edges with 3 interface
     vertices walked in 1.7 ms at the narrow order's split at 8, with 3
@@ -150,26 +154,12 @@ def _walk_plan(g):
     if m >= 2 * placed:
         return None, 0
     split, size = _split_point(g.edges, placed)
-    order = _narrow_order(g)
+    order = [e for _, _, e in g.walk_order]
     narrow, width = _split_point([g.edges[e] for e in order], placed)
     better = (width, narrow) != (size, split) and width <= size and narrow >= split
     if narrow and (not split or better):
         return order, narrow
     return None, split
-
-
-def _narrow_order(g):
-    """The edge ids of g sorted by their later endpoint in
-    `graphs.bfs_order`, then by the earlier one, as `kappa.frontier_sum`
-    takes them: a prefix of this order touches a breadth-first prefix of
-    the vertices, whose frontier is narrow on paths, cycles, grids and
-    wheels whatever the labels."""
-    pos = [0] * g.n_vertices
-    for i, v in enumerate(bfs_order(g)):
-        pos[v] = i
-    n = g.n_vertices
-    keys = [pos[a] * n + pos[b] if pos[a] > pos[b] else pos[b] * n + pos[a] for a, b in g.edges]
-    return sorted(range(g.m), key=keys.__getitem__)
 
 
 def _split_point(edges, placed):
@@ -497,22 +487,19 @@ class KappaPartition:
         return self.classes
 
 
-def _click_class_masks(g, masks=None):
-    """Connected components of the click graph over the acyclic masks of g.
+def _click_class_masks(g, masks):
+    """Connected components of the click graph over `masks`, the acyclic
+    masks of g ascending.
 
     A click reverses every edge at a source, so it keeps the mask acyclic.
     g may have parallel edges (forced co-directed); the caller decides
-    whether to simplify first, and checks loops and the cap.  `masks`, if
-    given, are the acyclic masks of g ascending, as a caller that holds
-    them already passes them in; otherwise they are walked here.  Classes
-    and masks come out ascending.  No library call uses it: it is
-    `verify`'s check on `_nu_classes`, which shares no step with it past
-    the masks, and the tests' oracle.
+    whether to simplify first, and checks loops and the cap.  Classes
+    and masks come out ascending.  It is `verify`'s check on
+    `_nu_classes`, which shares no step with it past the masks, and the
+    tests' oracle.
     """
     out, incident = _bit_tables(g)
     clicks = [(incident[v], out[v]) for v in range(g.n_vertices) if incident[v]]
-    if masks is None:
-        masks = _acyclic_masks(g)
     index = {bits: i for i, bits in enumerate(masks)}
     uf = UnionFind(len(masks))
     for i, bits in enumerate(masks):
@@ -686,11 +673,13 @@ class PathSpec:
             raise GraphInputError(
                 f"edge_choice has {len(self.edge_choice)} entries for {len(pairs)} steps"
             )
+        joining = {}  # each vertex pair to the ids of its edges, ascending
+        for eid, e in enumerate(g.edges):
+            joining.setdefault(e, []).append(eid)
         steps = []
         used = set()
         for i, (x, y) in enumerate(pairs):
-            key = (min(x, y), max(x, y))
-            candidates = [eid for eid, e in enumerate(g.edges) if e == key]
+            candidates = joining.get((min(x, y), max(x, y)), [])
             if self.edge_choice is not None:
                 eid = self.edge_choice[i]
                 if eid not in candidates:

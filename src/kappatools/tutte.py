@@ -3,13 +3,15 @@
 T(x, y) is the rank-nullity sum over all edge subsets A of
 (x-1)^(c(A)-c(E)) (y-1)^(|A|-n+c(A)), with c the number of components.
 `tutte_polynomial` computes it in one pass over the edges (Sekine, Imai
-and Tani, ISAAC 1995): `kappa.frontier_sum` takes the vertices in the
-breadth-first order of `graphs.bfs_order`, and for each partition of the
-frontier (the vertices seen that still have edges to come) it keeps one
-integer weight.  The work grows with the number of frontier partitions,
-not with 2^m.  The last two vertices close in one product pass per state
-signature (the edge counts they send into each frontier block), so on
-K_n the walk keeps Bell(n - 2) partitions, not Bell(n).  The walk runs
+and Tani, ISAAC 1995): `kappa.frontier_sum` takes the edges in the
+order that the graph keeps as `Multigraph.walk_order`, its vertices in
+the breadth-first order of `graphs.bfs_order`, and for each partition
+of the frontier (the vertices seen that still have edges to come) it
+keeps one integer weight.  The work grows with the number of frontier
+partitions, not with 2^m.  The last two vertices close in one product
+pass per state signature (the edge counts they send into each frontier
+block), so on K_n the walk keeps Bell(n - 2) partitions, not Bell(n).
+The walk runs
 once, at one integer point (a Kronecker substitution, Harvey, J.
 Symbolic Comput. 2009): y = 2^k and x = 2^(k w) with every coefficient
 below 2^k, so that T(x, y) is the coefficients side by side in k-bit

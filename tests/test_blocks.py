@@ -19,12 +19,14 @@ import pytest
 from kappatools.cli import main
 from kappatools.corpus import complete_graph, cycle_graph, random_multigraph
 from kappatools.errors import CapExceededError
-from kappatools.graphs import Multigraph, UnionFind
+from kappatools.graphs import Multigraph, UnionFind, bfs_order
 from kappatools.kappa import FRONTIER_CAP, _blocks, _core, _retire, kappa
 from kappatools.tutte import tutte_eval, tutte_oracle_rank_nullity, tutte_polynomial
 
 # the package re-exports the function `kappa` under the module's name
 KAPPA_MODULE = importlib.import_module("kappatools.kappa")
+GRAPHS_MODULE = importlib.import_module("kappatools.graphs")
+ORIENTATIONS_MODULE = importlib.import_module("kappatools.orientations")
 
 
 def friendship(k):
@@ -211,6 +213,29 @@ def test_a_two_connected_simple_graph_is_taken_in_place(name, g):
     for h in (g, scrambled(g, rng), scrambled(g, rng)):
         bridges, blocks = _blocks(h)
         assert bridges == 0 and len(blocks) == 1 and blocks[0] is h, h
+
+
+@pytest.mark.parametrize("name, g", IN_PLACE[:3], ids=[name for name, _ in IN_PLACE[:3]])
+def test_a_graph_in_place_is_ordered_once(monkeypatch, name, g):
+    """`kappa`, `tutte_eval` at y = 0 and `tutte_polynomial` all walk an
+    input taken in place in the one `Multigraph.walk_order` it keeps, so
+    `bfs_order` runs once per graph."""
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return bfs_order(h)
+
+    # every module that could order a graph itself reads the counted one
+    for module in (GRAPHS_MODULE, KAPPA_MODULE, ORIENTATIONS_MODULE):
+        monkeypatch.setattr(module, "bfs_order", counted, raising=False)
+    rng = random.Random(f"ordered-once:{name}")
+    for h in (scrambled(g, rng), scrambled(g, rng)):
+        calls.clear()
+        kappa(h)
+        tutte_eval(h, 2, 0)
+        tutte_polynomial(h, cap=h.m)
+        assert len(calls) == 1 and calls[0] is h, h
 
 
 def test_in_place_blocks_equal_the_relabelled_ones(block_corpus):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -427,10 +428,10 @@ def test_json_reports_carry_input_hash(capsys, c5_file):
 
 
 def test_input_file_is_not_modified(capsys, c5_file):
-    before = open(c5_file).read()
+    before = pathlib.Path(c5_file).read_text()
     run_cli(capsys, "verify", c5_file)
     run_cli(capsys, "collapse", c5_file, "--edge", "0")
-    assert open(c5_file).read() == before
+    assert pathlib.Path(c5_file).read_text() == before
 
 
 def test_vertex_out_of_range_is_exit_2(capsys, c5_file):
@@ -602,7 +603,8 @@ def test_reader_closing_the_pipe_is_exit_1_without_traceback(tmp_path):
     )
     assert len(proc.stdout.read(600)) == 600
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
 

@@ -1,5 +1,6 @@
 """Multigraph structure: deletion, contraction, classification, simplify,
-and the breadth-first order against a reference copy."""
+and the breadth-first order and the frontier walk's edge order against
+reference copies."""
 
 import random
 
@@ -270,6 +271,42 @@ def test_bfs_order_matches_its_reference(small_corpus):
     assert any(0 in g.degrees for g in multigraphs)
     for g in small_corpus + multigraphs:
         assert bfs_order(g) == reference_bfs_order(g), g
+
+
+def reference_narrow_order(g):
+    """The edge ids by (later, earlier) place in `bfs_order` over all
+    vertices, ties by id, as the mask walk once sorted them itself."""
+    pos = [0] * g.n_vertices
+    for i, v in enumerate(bfs_order(g)):
+        pos[v] = i
+    n = g.n_vertices
+    keys = [pos[a] * n + pos[b] if pos[a] > pos[b] else pos[b] * n + pos[a] for a, b in g.edges]
+    return sorted(range(g.m), key=keys.__getitem__)
+
+
+def reference_walk_pairs(g):
+    """The sorted (later, earlier) places of the edges among the vertices
+    that have one, as the frontier walk once built them itself."""
+    degree = g.degrees
+    order = [v for v in bfs_order(g) if degree[v]]
+    pos = [0] * g.n_vertices
+    for i, v in enumerate(order):
+        pos[v] = i
+    edges = []
+    for a, b in g.edges:
+        a, b = pos[a], pos[b]
+        edges.append((a, b) if a > b else (b, a))
+    edges.sort()
+    return edges
+
+
+def test_walk_order_matches_its_references(small_corpus):
+    multigraphs = seeded_multigraphs(3000, 30)
+    assert any(g.m != len(set(g.edges)) for g in multigraphs)
+    assert any(0 in g.degrees and g.m for g in multigraphs)
+    for g in small_corpus + multigraphs:
+        assert [e for _, _, e in g.walk_order] == reference_narrow_order(g), g
+        assert [(hi, lo) for hi, lo, _ in g.walk_order] == reference_walk_pairs(g), g
 
 
 def test_memo_key_is_label_insensitive_for_relabelings_of_cycles():

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -32,7 +33,6 @@ from kappatools.orientations import (
     _click_class_masks,
     _fundamental_cycles,
     _mask_walk,
-    _narrow_order,
     _nu_classes,
     _nu_weights,
     _peels,
@@ -290,11 +290,16 @@ def interface(edges, split):
     return below & above
 
 
+def walk_ids(g):
+    """The edge ids of the frontier walk's order, the narrow order."""
+    return [e for _, _, e in g.walk_order]
+
+
 def walk_orders(g, rng):
     """The input order, the narrow order and one seeded shuffle."""
     shuffled = list(range(g.m))
     rng.shuffle(shuffled)
-    return [None, _narrow_order(g), shuffled]
+    return [None, walk_ids(g), shuffled]
 
 
 def check_every_walk(g, rng):
@@ -309,7 +314,7 @@ def check_every_walk(g, rng):
             assert _mask_walk(g, zeros, order, split) == whole, (g, order, split)
     s = g.simplify()
     weights = _nu_weights(s)
-    clicks = _click_class_masks(s)
+    clicks = _click_class_masks(s, _acyclic_masks(s))
     for order in walk_orders(s, rng):
         for split in range(s.m + 1):
             assert _mask_walk(s, weights, order, split) == clicks, (s, order, split)
@@ -320,7 +325,7 @@ def test_every_split_matches_the_unsplit_walk_on_the_corpus(small_corpus):
     rng = random.Random(20261020)
     for g in small_corpus:
         check_every_walk(g, rng)
-        assert kappa_partition_bruteforce(g).classes == _click_class_masks(g)
+        assert kappa_partition_bruteforce(g).classes == _click_class_masks(g, _acyclic_masks(g))
 
 
 def test_every_split_matches_the_unsplit_walk_on_seeded_multigraphs():
@@ -329,7 +334,8 @@ def test_every_split_matches_the_unsplit_walk_on_seeded_multigraphs():
     seen = {"parallel": 0, "isolated": 0, "disconnected": 0}
     for g in seeded_multigraphs(rng, 300, 7, 12):
         check_every_walk(g, rng)
-        assert kappa_partition_bruteforce(g).classes == _click_class_masks(g.simplify())
+        s = g.simplify()
+        assert kappa_partition_bruteforce(g).classes == _click_class_masks(s, _acyclic_masks(s))
         seen["parallel"] += len(set(g.edges)) < g.m
         seen["isolated"] += 0 in g.degrees
         seen["disconnected"] += len(g.connected_components()) > 1
@@ -344,7 +350,7 @@ def test_partition_matches_the_click_closure_on_scrambled_families(g):
     h = scrambled(g, random.Random(g.m))
     assert _walk_plan(h)[1]
     part = kappa_partition_bruteforce(h)
-    assert part.classes == _click_class_masks(h)
+    assert part.classes == _click_class_masks(h, _acyclic_masks(h))
     assert part.class_count == kappa(h).value
     members = sorted(bits for cls in part.classes for bits in cls)
     assert members == list(_acyclic_masks(h))
@@ -404,7 +410,7 @@ def test_natural_grid_keeps_the_input_order_at_the_deeper_split():
     vertices, the input order at 12 with 4; the split at 12 walks faster,
     so the input order is kept."""
     g = row_major_grid(4, 4)
-    order = _narrow_order(g)
+    order = walk_ids(g)
     assert _split_point([g.edges[e] for e in order], 16) == (6, 3)
     assert _split_point(g.edges, 16) == (12, 4)
     assert _walk_plan(g) == (None, 12)
@@ -416,7 +422,7 @@ def test_scrambled_cycle_and_wheel_take_the_narrow_order(g):
     for _ in range(10):
         h = scrambled(g, rng)
         order, split = _walk_plan(h)
-        assert order == _narrow_order(h) and split, h
+        assert order == walk_ids(h) and split, h
         assert len(interface([h.edges[e] for e in order], split)) <= 3, h
 
 
@@ -568,7 +574,7 @@ def test_simplification_soundness_for_parallel_edges():
     rng = random.Random(99)
     for _ in range(40):
         g = random_multigraph(rng, max_vertices=5, max_edges=8, allow_loops=False)
-        raw_classes = _click_class_masks(g)
+        raw_classes = _click_class_masks(g, _acyclic_masks(g))
         simplified = kappa_partition_bruteforce(g)
         assert len(raw_classes) == simplified.class_count
 
@@ -677,6 +683,17 @@ def test_parallel_edges_need_edge_choice():
     assert nu_path(o, PathSpec((0, 1), closed=True, edge_choice=(0, 1))) == 0
 
 
+@pytest.mark.parametrize("edge_choice", [None, tuple(range(20_000))], ids=["vertices", "edge-ids"])
+def test_closed_path_resolves_in_linear_time(edge_choice):
+    # a step that scans every edge for its candidates makes C_20000 take
+    # over 10 s; the closing step 19999 -> 0 walks down edge 19999
+    n = 20_000
+    spec = PathSpec(tuple(range(n)), closed=True, edge_choice=edge_choice)
+    start = time.perf_counter()
+    assert spec.edge_masks(cycle_graph(n)) == ((1 << n - 1) - 1, 1 << n - 1)
+    assert time.perf_counter() - start < 1
+
+
 def test_path_spec_json_roundtrip():
     p = PathSpec((0, 1, 2), closed=True)
     assert PathSpec.from_json(p.to_json()) == p
@@ -733,7 +750,7 @@ def test_cut_equivalent_pairs_never_cross_classes():
         graphs.append(Multigraph(shift + b.n_vertices + 1, edges + (rng.choice(edges),)))
     for g in graphs:
         s = g.simplify()
-        clicks = _click_class_masks(s)
+        clicks = _click_class_masks(s, _acyclic_masks(s))
         click_class = {bits: i for i, cls in enumerate(clicks) for bits in cls}
         orients = enumerate_acyclic(s)
         uf = UnionFind(len(orients))
@@ -751,7 +768,8 @@ def test_cut_closure_matches_click_partition_on_samples():
     rng = random.Random(31)
     graphs = [random_connected_graph(rng, max_edges=9, max_vertices=6) for _ in range(20)]
     for g in graphs + [grid_graph(3, 3)]:
-        clicks = _click_class_masks(g.simplify())
+        s = g.simplify()
+        clicks = _click_class_masks(s, _acyclic_masks(s))
         assert cut_equivalence_classes(g) == kappa_partition_bruteforce(g).classes == clicks
 
 
@@ -792,7 +810,8 @@ def test_packed_key_on_doubled_edges():
              (5, 4), (2, 3), (3, 2))
     g = Multigraph(7, edges)
     expected = assert_packed_key_matches(g)
-    assert expected == _click_class_masks(g.simplify())
+    s = g.simplify()
+    assert expected == _click_class_masks(s, _acyclic_masks(s))
     assert len(expected) == 2 * 3
 
 
@@ -805,7 +824,7 @@ def test_packed_key_at_a_digit_width_boundary(lengths):
     cycle_lengths = {(up | down).bit_count() for up, down in _fundamental_cycles(s)}
     assert cycle_lengths & {3, 7} and cycle_lengths & {4, 8}
     expected = assert_packed_key_matches(g)
-    assert expected == _click_class_masks(s)
+    assert expected == _click_class_masks(s, _acyclic_masks(s))
 
 
 def test_packed_key_across_three_chunks():
