@@ -8,9 +8,11 @@ renumber the edges of their input.
 
 `Multigraph.blocks` is the one depth-first split of a graph into blocks
 and bridges.  Edge classification, the bridgeless core and the y = 0
-engine's split (`kappa._blocks`) all read it.  `Multigraph.walk_order`
-is the one edge order of the frontier walk, built from `bfs_order` once
-per graph; `kappa.frontier_sum` and the acyclic-mask walk's split
+engine's split (`kappa._blocks`) all read it, and that split's
+relabelled block graphs are built once per graph as
+`Multigraph.block_graphs`.  `Multigraph.walk_order` is the one edge
+order of the frontier walk, built from `bfs_order` once per graph;
+`kappa.frontier_sum` and the acyclic-mask walk's split
 (`orientations._walk_plan`) both read it.  `memo_key` orders its own
 vertices by `bfs_order`, so the trace keys do not follow the walk order.
 """
@@ -230,6 +232,28 @@ class Multigraph:
             edges.append((a, b, e) if a > b else (b, a, e))
         edges.sort()
         return tuple(edges)
+
+    @cached_property
+    def block_graphs(self):
+        """The blocks of `simplify()` as graphs of their own: the number of
+        bridges, and one graph per block with two or more edges, its
+        vertices relabelled in ascending order and its edges in this
+        graph's order.  A block's parallel copies collapse to the first; a
+        block left with one edge is a bridge.
+        """
+        bridges = 0
+        pieces = []
+        for ids in self.blocks:
+            edges = list(dict.fromkeys(self.edges[e] for e in ids))
+            if len(edges) == 1:
+                bridges += 1
+                continue
+            vertices = sorted({x for e in edges for x in e})
+            label = {x: i for i, x in enumerate(vertices)}
+            pieces.append(
+                Multigraph(len(vertices), tuple((label[a], label[b]) for a, b in edges))
+            )
+        return bridges, pieces
 
     @cached_property
     def _bridge_ids(self):

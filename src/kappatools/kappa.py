@@ -4,28 +4,29 @@ One function, `_solve`, evaluates the Tutte polynomial on the line
 y = 0: `kappa` runs it at x = 1, and `tutte_eval(g, x, 0)` at any integer
 x (x = 2 counts acyclic orientations).  Parallel edges collapse, and
 T multiplies over blocks, the 2-connected pieces that cut vertices
-separate: `_blocks` relabels the blocks of `Multigraph.blocks`, and each
-bridge contributes a factor x.  A simple input that is one block, such
+separate: `_blocks` reads them from `Multigraph.blocks`, and each bridge
+contributes a factor x.  A simple input that is one block, such
 as a cycle, wheel, grid, clique or the Petersen graph, is taken as it
 stands, so `kappa(g)` and `tutte_eval(g, x, 0)` build no graph and reuse
-the blocks and degrees that g caches; a graph of several blocks still
-gets one relabelled graph per block.  A block that is a cycle C_m is
-answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
+the blocks and degrees that g caches; a graph of several blocks gets one
+relabelled graph per block, which it keeps as `Multigraph.block_graphs`,
+so the second of those calls builds none.  A block that is a cycle C_m
+is answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
 sparse block, one with fewer than DENSE_SHARE of all vertex pairs as
 edges, is answered by `frontier_sum`; a dense one by `_partition_counts`.
 
 `frontier_sum` is one walk over all edge subsets A with one integer
 weight per partition of the frontier vertices (Sekine, Imai and Tani,
-ISAAC 1995), each partition a `bytes` key of one label per vertex, so
-no walk runs past a frontier of FRONTIER_CAP vertices.  It takes the
-edges in `Multigraph.walk_order`, which the graph keeps, so `kappa(g)`
-and `tutte_eval(g, x, 0)` on an input taken in place order it once.
-The walk steps through every vertex but the last two; those two close
-in one product pass per state signature, the multiset of edge counts
-that they send into each frontier block, so on a clique the Bell(n)
-partitions of the last steps are never built.  `tutte.tutte_polynomial`
-runs the same walk once, at a point where its value packs the whole
-polynomial.
+ISAAC 1995), each partition a `bytes` key that labels each frontier slot
+by the first slot of its block, so no walk runs past a frontier of
+FRONTIER_CAP vertices.  It takes the edges in `Multigraph.walk_order`,
+which the graph keeps, so `kappa(g)` and `tutte_eval(g, x, 0)` on an
+input taken in place order it once.  The walk steps through every vertex
+but the last two; those two close in one product pass per state
+signature, the multiset of edge counts that they send into each frontier
+block, so on a clique the Bell(n) partitions of the last steps are never
+built.  `tutte.tutte_polynomial` runs the same walk once, at a point
+where its value packs the whole polynomial.
 
 `_partition_counts` works on vertices instead: p_k, the number of
 partitions of the n vertices into k independent sets, gives the chromatic
@@ -53,7 +54,7 @@ from math import factorial, prod
 from operator import lshift
 
 from .errors import CapExceededError, GraphInputError
-from .graphs import Multigraph, memo_key
+from .graphs import memo_key
 
 TRACE_LEAF_CAP = 10_000
 
@@ -123,10 +124,12 @@ def frontier_sum(g, take, close):
     leaves the frontier after its last edge.  For every canonical
     partition of the frontier vertices one integer holds the summed
     weight of the subsets reaching it.  A partition is a `bytes` key, one
-    block label per frontier slot, labels numbered in order of first
-    occurrence; a vertex's first edge back appends its slot, with a new
-    label if the edge is skipped and the other end's if it is taken, and
-    merging or dropping blocks is one `bytes.translate`.
+    block label per frontier slot, and a block's label is the index of
+    its first slot (Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
+    Fundamentals 2017), so a placed vertex appends its own slot index to
+    every key, an edge that joins two blocks maps the larger label to the
+    smaller, and dropping a slot moves its label to the next slot of its
+    block and the later labels down one; each is one `bytes.translate`.
     Taking an edge multiplies a weight by `take`.  A block that leaves
     the frontier while other blocks remain open multiplies it by `close`;
     the last block of a component does not, since the breadth-first order
@@ -176,34 +179,23 @@ def frontier_sum(g, take, close):
     frontier = []
     i = 0
     for p in range(placed - 2):
+        # p enters as a block of its own, labelled by its slot
+        label = _LABEL[len(frontier)]
         frontier.append(p)
-        if i == len(edges) or edges[i][0] != p:
-            # the first vertex of a component: no edge back, a block of its own
-            states = {
-                blocks + _LABEL[max(blocks, default=-1) + 1]: weight
-                for blocks, weight in states.items()
-            }
-        first = True
+        states = {blocks + label: weight for blocks, weight in states.items()}
         while i < len(edges) and edges[i][0] == p:
             q = edges[i][1]
             ia = frontier.index(q)
-            out = {}
-            if first:
-                for blocks, weight in states.items():
-                    out[blocks + _LABEL[max(blocks) + 1]] = weight
-                    out[blocks + blocks[ia : ia + 1]] = weight * take
-                first = False
-            else:
-                out.update(states)
-                for blocks, weight in states.items():
-                    lo, hi = blocks[ia], blocks[-1]
-                    if lo != hi:
-                        if lo > hi:
-                            lo, hi = hi, lo
-                        blocks = blocks.translate(_MERGE[lo << 8 | hi])
-                    taken = weight * take
-                    old = out.get(blocks)
-                    out[blocks] = taken if old is None else old + taken
+            out = states.copy()
+            for blocks, weight in states.items():
+                lo, hi = blocks[ia], blocks[-1]
+                if lo != hi:
+                    if lo > hi:
+                        lo, hi = hi, lo
+                    blocks = blocks.translate(_JOIN[lo << 8 | hi])
+                taken = weight * take
+                old = out.get(blocks)
+                out[blocks] = taken if old is None else old + taken
             states = out
             for v in (p, q):
                 if last[v] == i:
@@ -219,9 +211,9 @@ def _close_last_two(states, frontier, edges, u, take, close):
     `edges` are the `Multigraph.walk_order` triples still to come, each
     from u or from the last vertex p.
 
-    The weights are summed first per integer key that holds the blocks'
-    packed (du_B, dp_B) pairs in label order, and then per sorted tuple of
-    pairs, the signature.  Each signature's sum is multiplied
+    The weights are summed first per integer key that holds each block's
+    packed (du_B, dp_B) pair in the field of its label, and then per
+    sorted tuple of pairs, the signature.  Each signature's sum is multiplied
     block by block by f_B + a_B = c + (1 + t)^du_B + (1 + t)^dp_B - 2 and
     f_B + a_B g_B = c + (1 + t)^(du_B + dp_B) - 1, each factor computed
     once per pair.  The two factors differ only for a block that both u
@@ -242,7 +234,8 @@ def _close_last_two(states, frontier, edges, u, take, close):
             delta += 1
         else:
             pair[slot[lo]] += base if hi == u else 1
-    # the packed pairs in label order as one integer, a field per label
+    # the packed pairs as one integer, a field per slot: a block's pair in
+    # the field of its label, 0 in the field of a slot that leads no block
     field = (base * base).bit_length()
     shift = field.__mul__
     by_order = {}
@@ -254,8 +247,9 @@ def _close_last_two(states, frontier, edges, u, take, close):
     mask = (1 << field) - 1
     for key, weight in by_order.items():
         signature = []
-        while key:  # every block has an edge to come, so no field is 0
-            signature.append(key & mask)
+        while key:  # every block has an edge to come, so its field is not 0
+            if key & mask:
+                signature.append(key & mask)
             key >>= field
         signature = tuple(sorted(signature))
         old = by_signature.get(signature)
@@ -293,8 +287,8 @@ def _frontier_width(edges, last):
 
 
 class _Tables(dict):
-    """`bytes.translate` tables, each built on first use, one per label
-    pair (a, b) under the key a << 8 | b."""
+    """`bytes.translate` tables, each built on first use, one per pair
+    (a, b) of labels or slots under the key a << 8 | b."""
 
     def __init__(self, make):
         super().__init__()
@@ -306,33 +300,30 @@ class _Tables(dict):
         return table
 
 
-# block b joins block a <= b, and the labels above b move down one
-_MERGE = _Tables(lambda a, b, x: a if x == b else x - (x > b))
-# block b moves past the t blocks b+1..b+t, which move down one
-_ROTATE = _Tables(lambda b, t, x: b + t if x == b else x - (b < x <= b + t))
+# the block labelled b joins the block labelled a < b
+_JOIN = _Tables(lambda a, b, x: a if x == b else x)
+# slot j leaves, slot k now leads j's block, and the later slots move down one
+_RETIRE = _Tables(lambda j, k, x: k if x == j else x - (x > j))
 _LABEL = [bytes([x]) for x in range(256)]
 
 
 def _retire(states, j, close):
-    """Drop frontier slot j from every partition.  A block that loses its
-    last frontier vertex while other blocks remain is multiplied by `close`;
-    one whose first slot was j moves behind the blocks first seen before
-    its next slot."""
+    """Drop frontier slot j from every partition, each key by one
+    `bytes.translate` through the table of j and k, the slot that now
+    leads j's block: the labels above j move down one, and label j, if
+    slot j led its block, becomes k.  A block that loses its last frontier
+    vertex while other blocks remain is multiplied by `close`."""
     out = {}
     for blocks, weight in states.items():
-        b = blocks[j]
         rest = blocks[:j] + blocks[j + 1 :]
-        k = rest.find(b)
+        k = rest.find(blocks[j])
         if k < 0:
             if rest:
                 weight *= close
                 if not weight:
                     continue
-                rest = rest.translate(_MERGE[b << 8 | b])
-        elif k > j:
-            t = max(rest[j:k]) - b
-            if t > 0:
-                rest = rest.translate(_ROTATE[b << 8 | t])
+            k = j
+        rest = rest.translate(_RETIRE[j << 8 | k])
         old = out.get(rest)
         out[rest] = weight if old is None else old + weight
     return out
@@ -403,21 +394,18 @@ def _core(g):
 
 
 def _blocks(g):
-    """The blocks of simplify(g), its 2-connected pieces and bridges, from
-    `Multigraph.blocks`.
-
-    Returns the number of bridges and one graph per block with two or
-    more edges, its vertices relabelled in ascending order and its edges
-    in simplify(g)'s order.  A block's parallel copies collapse to the
-    first; a block left with one edge is a bridge of simplify(g).
+    """The blocks of simplify(g), its 2-connected pieces and bridges:
+    `Multigraph.block_graphs`, the number of bridges and one relabelled
+    graph per block with two or more edges, which g keeps, so that a
+    second call on g builds no graph.
 
     A g that is its own one block, with no parallel edge and no edgeless
-    vertex, is returned itself: relabelling and collapsing would rebuild
-    an equal graph, and the cycle rule, the walk and the subset DP then
-    read the degrees that g has already cached.  A g of several blocks still
-    gets a relabelled graph per block, since the subset DP gives each
-    vertex of its piece a bit and the walk sizes its tables by the
-    piece's vertex count, not by g's.
+    vertex, is returned itself and keeps nothing: relabelling and
+    collapsing would rebuild an equal graph, and the cycle rule, the walk
+    and the subset DP then read the degrees that g has already cached.  A
+    g of several blocks still gets a relabelled graph per block, since
+    the subset DP gives each vertex of its piece a bit and the walk sizes
+    its tables by the piece's vertex count, not by g's.
     """
     blocks = g.blocks
     if (
@@ -427,19 +415,7 @@ def _blocks(g):
         and len(set(g.edges)) == g.m
     ):
         return 0, [g]
-    bridges = 0
-    pieces = []
-    for ids in blocks:
-        edges = list(dict.fromkeys(g.edges[e] for e in ids))
-        if len(edges) == 1:
-            bridges += 1
-            continue
-        vertices = sorted({x for e in edges for x in e})
-        label = {x: i for i, x in enumerate(vertices)}
-        pieces.append(
-            Multigraph(len(vertices), tuple((label[a], label[b]) for a, b in edges))
-        )
-    return bridges, pieces
+    return g.block_graphs
 
 
 def _solve(g, x, stats):

@@ -136,10 +136,7 @@ def tutte_polynomial(g, cap=None):
         loop_free = Multigraph(g.n_vertices, tuple(e for e in g.edges if e[0] != e[1]))
     loops = g.m - loop_free.m
     m = loop_free.m
-    components = UnionFind(loop_free.n_vertices)
-    for a, b in loop_free.edges:
-        components.union(a, b)
-    rank = loop_free.n_vertices - components.n_components
+    rank = loop_free.n_vertices - len(loop_free.connected_components())
     width = m - rank + 1
     bound = min(1 << m, prod(d for d in loop_free.degrees if d))
     size = (bound.bit_length() + 7) // 8  # bytes per field

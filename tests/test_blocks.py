@@ -6,8 +6,9 @@
 `connected_components` and `UnionFind`; neither oracle shares code with
 the depth-first pass.  The input that `_blocks` returns as its own block
 is checked against the relabelled block it stands for.  The walk is
-checked under many labellings, since the relabelling on retire only runs
-when a block's first frontier slot leaves before its later ones.
+checked under many labellings, since a retire hands a block's label to
+its next slot only when the block's first frontier slot leaves before
+its later ones.
 """
 
 import importlib
@@ -213,6 +214,8 @@ def test_a_two_connected_simple_graph_is_taken_in_place(name, g):
     for h in (g, scrambled(g, rng), scrambled(g, rng)):
         bridges, blocks = _blocks(h)
         assert bridges == 0 and len(blocks) == 1 and blocks[0] is h, h
+        # nothing is kept, so no graph holds itself
+        assert "block_graphs" not in vars(h), h
 
 
 @pytest.mark.parametrize("name, g", IN_PLACE[:3], ids=[name for name, _ in IN_PLACE[:3]])
@@ -236,6 +239,35 @@ def test_a_graph_in_place_is_ordered_once(monkeypatch, name, g):
         tutte_eval(h, 2, 0)
         tutte_polynomial(h, cap=h.m)
         assert len(calls) == 1 and calls[0] is h, h
+
+
+def two_wheels_and_a_bridge():
+    """Two copies of W10 and one edge between their rims."""
+    w = wheel(10)
+    return Multigraph(20, w.edges + tuple((a + 10, b + 10) for a, b in w.edges) + ((1, 11),))
+
+
+@pytest.mark.parametrize(
+    "g, pieces, values",
+    [
+        (friendship(50), 50, (2**50, 6**50)),
+        (two_wheels_and_a_bridge(), 2, (510**2, 2 * (3**9 - 3) ** 2)),
+    ],
+    ids=["F50", "W10-bridge-W10"],
+)
+def test_several_blocks_are_built_once(monkeypatch, g, pieces, values):
+    built = []
+    post_init = Multigraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Multigraph, "__post_init__", counted)
+    assert kappa(g).value == values[0]
+    assert len(built) == pieces
+    assert tutte_eval(g, 2, 0) == values[1]
+    assert len(built) == pieces
 
 
 def test_in_place_blocks_equal_the_relabelled_ones(block_corpus):
@@ -312,11 +344,16 @@ def test_long_and_wide_inputs_stay_linear(g, value):
 
 
 def canonical_partitions(length):
-    """Every partition of `length` slots as labels in order of first use."""
+    """Every partition of `length` slots, each slot labelled by the first
+    slot of its block."""
     keys = [b""]
-    for _ in range(length):
-        keys = [k + bytes([x]) for k in keys for x in range(max(k, default=-1) + 2)]
+    for i in range(length):
+        keys = [k + bytes([x]) for k in keys for x in sorted(set(k)) + [i]]
     return keys
+
+
+def is_canonical(key):
+    return all(key[i] == key.index(x) for i, x in enumerate(key))
 
 
 def test_retire_keeps_partitions_canonical():
@@ -324,16 +361,44 @@ def test_retire_keeps_partitions_canonical():
     # the keys themselves show a relabelling that is skipped
     for length in range(1, 7):
         states = {k: w for w, k in enumerate(canonical_partitions(length), 1)}
+        assert all(map(is_canonical, states))
         for j in range(length):
             expected = {}
             for k, w in states.items():
                 rest = k[:j] + k[j + 1 :]
-                first = {}
-                key = bytes(first.setdefault(x, len(first)) for x in rest)
+                key = bytes(rest.index(x) for x in rest)
                 if k[j] not in rest and rest:
                     w *= 3
                 expected[key] = expected.get(key, 0) + w
             assert _retire(states, j, 3) == expected, (length, j)
+
+
+def test_every_walk_key_is_led_by_its_first_slot(small_corpus, monkeypatch):
+    # each key the walk hands to `_retire`, or gets back, labels every
+    # slot by the first slot of its block; the seeded inputs are disjoint
+    # unions, so the walk also crosses component boundaries
+    keys = []
+    retire = KAPPA_MODULE._retire
+
+    def checked(states, j, close):
+        out = retire(states, j, close)
+        keys.extend(states)
+        keys.extend(out)
+        return out
+
+    monkeypatch.setattr(KAPPA_MODULE, "_retire", checked)
+    rng = random.Random("first-slot keys")
+    disconnected = []
+    for _ in range(200):
+        a = random_multigraph(rng, 6, 9, allow_loops=False)
+        b = random_multigraph(rng, 6, 9, allow_loops=False)
+        shifted = tuple((x + a.n_vertices, y + a.n_vertices) for x, y in b.edges)
+        disconnected.append(Multigraph(a.n_vertices + b.n_vertices, a.edges + shifted))
+    for g in small_corpus + disconnected:
+        KAPPA_MODULE.frontier_sum(g, 2, 4)
+    assert keys
+    bad = [k for k in keys if not is_canonical(k)]
+    assert not bad, bad[:5]
 
 
 @pytest.mark.parametrize("name, g", [("grid4x4", grid(4, 4)), ("W12", wheel(12)), ("petersen", PETERSEN)])
