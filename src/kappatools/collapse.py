@@ -8,11 +8,12 @@ paths whose component count equals the class count after deletion and
 whose edge count equals the class count after contraction, which verifies
 the deletion/contraction recursion node by node.
 
-The lift adds up per-bit masks, so it is read through the chunk tables
-that key ν in `orientations`.  The build looks each lift up among the
-acyclic masks of the graph, which is the lift's one acyclicity test.  The
-structure check enumerates nothing: it names the classes after deletion
-by clicking each representative to its unique-source member.
+The lift adds up per-bit masks, so it is read through 11-bit chunk
+tables, one lookup per chunk (`_chunk_tables`).  The build looks each
+lift up among the acyclic masks of the graph, which is the lift's one
+acyclicity test.  The structure check enumerates nothing: it names the
+classes after deletion by clicking each representative to its
+unique-source member.
 """
 
 from __future__ import annotations
@@ -24,12 +25,34 @@ from .graphs import EdgeKind, UnionFind, contraction_map
 from .kappa import kappa
 from .orientations import (
     Orientation,
-    _chunk_tables,
     _is_acyclic_bits,
     _normalize_bits,
-    _translate,
     kappa_partition_bruteforce,
 )
+
+
+def _chunk_tables(weights):
+    """(low, table) per 11-bit chunk of a mask over len(weights) bits:
+    table[c] is the sum of the weights of the bits set in the chunk value
+    c, so a map that adds up per-bit weights reads a mask as
+    Σ table[bits >> low & 0x7FF], one lookup per chunk."""
+    tables = []
+    for low in range(0, len(weights), 11):
+        table = [0]
+        for weight in weights[low:low + 11]:
+            table += [key + weight for key in table]
+        tables.append((low, table))
+    return tables
+
+
+def _translate(tables, bits):
+    """The union of the per-bit masks at the set bits of `bits`, from
+    the `_chunk_tables` of masks that are pairwise disjoint, so that each
+    chunk's sum is its union."""
+    out = 0
+    for low, table in tables:
+        out |= table[bits >> low & 0x7FF]
+    return out
 
 
 class _Lifter:

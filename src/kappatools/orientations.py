@@ -15,15 +15,15 @@ no narrow prefix, in the breadth-first edge order that the frontier walk
 of `kappa` takes too (`Multigraph.walk_order`, chosen by `_walk_plan`):
 the branches over the upper edges that leave the same reach relation
 between those vertices have the same completions below, so each such
-relation's completions are walked once per call (`_mask_walk`).  The
-walk is keyed: it carries the sum of per-edge weights over the set bits
-as it carries the bits, and groups the masks by that key as it makes
-them.  With every
-weight 0 it gives the acyclic masks (`_acyclic_masks`), and with the
-weights of a packed ν key the click classes (`_nu_classes`).  `_peels`,
-which peels sources off one mask, is the check for a single mask and the
-oracle the search is tested against.
-`_unique_source_masks` runs the same search but also
+relation's completions are walked once per call (`_mask_walk`).  Each
+position sets its edge's own input bit, so the masks need no mapping
+back whatever the order.  The walk is keyed: it carries the sum of
+per-edge weights over the set bits as it carries the bits, and groups
+the masks by that key as it makes them.  With every weight 0 it gives
+the acyclic masks (`_acyclic_masks`), and with the weights of a packed ν
+key the click classes (`_nu_classes`).  `_peels`, which peels sources off
+one mask, is the check for a single mask and the oracle the search is
+tested against.  `_unique_source_masks` runs the same search but also
 ends a branch at an edge into the chosen source or at a second source,
 so it never builds the acyclic masks it would drop.  It keeps a walk of
 its own, with no split: one walk shared by both searches was measured
@@ -200,57 +200,51 @@ def _mask_walk(g, weights, order=None, split=0):
     permutation of the edge ids, None for the input order) and every
     split in 0..m gives the same tuple.
 
-    The walk carries the key as it carries the bits.  With no order and
-    no split it is one `_completions` walk.  Otherwise position i of the
-    walk holds edge order[i], and the positions at or above the split are
-    walked first, as in `_completions`.  A branch that reaches the split
-    has oriented them all.  Its masks are its bits joined with each
-    completion of the positions below, and those depend only on the reach
-    relation between the vertices the lower edges touch.  That relation
-    is fixed by its part on the `inner` vertices, the ones with edges on
-    both sides: a vertex with lower edges only reaches no other vertex
-    yet, and none reaches it.  The lower walk reads reach only between
-    vertices the lower edges touch, and orienting a->b there adds the
-    pairs (x, y) with x reaching a and b reaching y, all within that set,
-    so the walk below is a function of the relation.  So the key
-    tuple(reach[x] & inner_mask for x in inner) fixes the completions, and
-    each key's completions are walked once, already grouped by their low
-    key, into a table that lives for this call only.  A leaf with key hk
-    then appends each whole group under hk + tk in one list comprehension,
-    so no mask is keyed or hashed on its own past the table.  Each half
-    indexes only the vertices its edges touch, the inner ones first in
-    both, so a key is also the first rows of the lower walk's starting
-    reach.
+    The walk carries the key as it carries the bits.  Position i of the
+    walk holds edge order[i] (edge i with no order) and ORs that edge's
+    own bit, so every mask is over input edge ids as it is made.  With no
+    split it is one `_completions` walk.  Otherwise the positions at or
+    above the split are walked first, as in `_completions`.  A branch that
+    reaches the split has oriented them all.  Its masks are its bits
+    joined with each completion of the positions below, and those depend
+    only on the reach relation between the vertices the lower edges touch.
+    That relation is fixed by its part on the `inner` vertices, the ones
+    with edges on both sides: a vertex with lower edges only reaches no
+    other vertex yet, and none reaches it.  The lower walk reads reach
+    only between vertices the lower edges touch, and orienting a->b there
+    adds the pairs (x, y) with x reaching a and b reaching y, all within
+    that set, so the walk below is a function of the relation.  So the
+    key tuple(reach[x] & inner_mask for x in inner) fixes the completions,
+    and each key's completions are walked once, already grouped by their
+    low key, into a table that lives for this call only.  A leaf with key
+    hk then appends each whole group under hk + tk in one list
+    comprehension, so no mask is keyed or hashed on its own past the
+    table.  Each half indexes only the vertices its edges touch, the inner
+    ones first in both, so a key is also the first rows of the lower
+    walk's starting reach.
 
-    In the input order the masks come out descending, and each class is
-    reversed.  In another order a leaf's bits, and a table entry's masks
-    once when the entry is made, go back to input edge ids through
-    `_chunk_tables`, one set for the positions on each side of the split,
-    so that a small graph builds two small tables rather than one of
-    2^11 entries; and each class is sorted once.
+    The edges below and above the split have disjoint ids, so a leaf's
+    bits OR a completion is the whole mask.  In the input order the masks
+    come out descending, and each class is reversed.  In another order
+    each table entry is sorted once when it is made, so that a class
+    arrives as ascending runs, and each class is sorted once.
     """
-    if order is None and not split:
-        placed = sorted({x for edge in g.edges for x in edge})
-        pos = {x: i for i, x in enumerate(placed)}
-        steps = _steps([(pos[a], pos[b]) for a, b in g.edges], weights)
-        groups = _completions(steps, g.m, [1 << x for x in range(len(placed))])
+    natural = order is None
+    if natural:
+        order = range(g.m)
+    edges = [g.edges[e] for e in order]
+    weights = [weights[e] for e in order]
+    below = {x for edge in edges[:split] for x in edge}
+    above = {x for edge in edges[split:] for x in edge}
+    inner = sorted(below & above)
+    low = {x: i for i, x in enumerate(inner + sorted(below - above))}
+    high = {x: i for i, x in enumerate(inner + sorted(above - below))}
+    ends = [(low[a], low[b]) for a, b in edges[:split]]
+    ends += [(high[a], high[b]) for a, b in edges[split:]]
+    steps = _steps(ends, weights, order)
+    if not split:
+        groups = _completions(steps, g.m, [1 << x for x in range(len(high))])
     else:
-        if order is None:
-            edges = g.edges
-            lower = upper = None
-        else:
-            edges = [g.edges[e] for e in order]
-            weights = [weights[e] for e in order]
-            lower = _chunk_tables([1 << e for e in order[:split]])
-            upper = _chunk_tables([1 << e for e in order[split:]])
-        below = {x for edge in edges[:split] for x in edge}
-        above = {x for edge in edges[split:] for x in edge}
-        inner = sorted(below & above)
-        low = {x: i for i, x in enumerate(inner + sorted(below - above))}
-        high = {x: i for i, x in enumerate(inner + sorted(above - below))}
-        ends = [(low[a], low[b]) for a, b in edges[:split]]
-        ends += [(high[a], high[b]) for a, b in edges[split:]]
-        steps = _steps(ends, weights)
         k = len(inner)
         inner_mask = (1 << k) - 1
         alone = [1 << x for x in range(k, len(low))]
@@ -273,14 +267,9 @@ def _mask_walk(g, weights, order=None, split=0):
             tail = tails.get(reach_key)
             if tail is None:
                 tail = _completions(steps, split, [*reach_key, *alone]).items()
-                if lower is not None:
-                    tail = [
-                        (tk, sorted([_translate(lower, t) for t in grp]))
-                        for tk, grp in tail
-                    ]
+                if not natural:
+                    tail = [(tk, sorted(grp)) for tk, grp in tail]
                 tails[reach_key] = tail
-            if upper is not None:
-                bits = _translate(upper, bits >> split)
             for tk, grp in tail:
                 groups[key + tk].extend([bits | t for t in grp])
 
@@ -288,7 +277,7 @@ def _mask_walk(g, weights, order=None, split=0):
         del walk  # walk's closure holds walk and the tables: free them now
     classes = []
     for masks in groups.values():
-        if order is None:
+        if natural:
             masks.reverse()
         else:
             masks.sort()  # ascending runs, one per leaf and group
@@ -298,30 +287,23 @@ def _mask_walk(g, weights, order=None, split=0):
     return tuple(classes)
 
 
-def _translate(tables, bits):
-    """The mask of input edge ids for a mask over a run of walk
-    positions, from the `_chunk_tables` of those positions' edge bits."""
-    out = 0
-    for low, table in tables:
-        out |= table[bits >> low & 0x7FF]
-    return out
-
-
-def _steps(ends, weights):
-    """Per edge position e: (a, b, 1 << a, 1 << b, 1 << e, weights[e]),
-    where ends[e] = (a, b), the walks' per-edge constants, made once per
-    walk.  Unpacking them costs less than shifting at each visit: it made
-    the keyed walk with every weight 0 no slower than the unkeyed one."""
-    return [(a, b, 1 << a, 1 << b, 1 << e, w) for e, ((a, b), w) in enumerate(zip(ends, weights))]
+def _steps(ends, weights, ids):
+    """Per edge position e: (a, b, 1 << a, 1 << b, 1 << ids[e], weights[e]),
+    where ends[e] = (a, b) and ids[e] is the input edge id at e: the walks'
+    per-edge constants, made once per walk.  Unpacking them costs less
+    than shifting at each visit: it made the keyed walk with every weight
+    0 no slower than the unkeyed one."""
+    return [(a, b, 1 << a, 1 << b, 1 << i, w) for (a, b), w, i in zip(ends, weights, ids)]
 
 
 def _completions(steps, e, reach):
-    """Every way to orient the edges below e acyclically on top of reach,
-    as masks over those edges grouped by key (the sum of the weights of
-    the set bits): a dict from key to a descending list of masks.
+    """Every way to orient the edges at positions below e acyclically on
+    top of reach, as masks over their input edge ids grouped by key (the
+    sum of the weights of the set bits): a dict from key to a list of
+    masks, descending when the ids ascend with the positions.
 
-    steps[i] is edge i's `_steps` entry, its ends as positions, smaller
-    label first, and reach[x] is the bitset of positions that x reaches
+    steps[i] is position i's `_steps` entry, its ends as vertex indices,
+    smaller label first, and reach[x] is the bitset of indices that x reaches
     under the edges already oriented.  An edge {a, b} is forced b->a
     (bit 1) when b already reaches a, and a->b (bit 0) when a reaches b;
     both cannot hold in an acyclic partial orientation, so at least one
@@ -331,8 +313,9 @@ def _completions(steps, e, reach):
     the reach order, so a branch has at most n(n-1)/2 of them, while a
     graph with n vertices and c components has at least 2^(n-c) masks:
     the depth stays small on any graph the search can finish.  The bit-1
-    branch goes first, so the masks come out descending.  `_peels` stays
-    the check for a single mask and the oracle this is tested against.
+    branch goes first, so the masks come out in descending order of their
+    positions.  `_peels` stays the check for a single mask and the oracle
+    this is tested against.
     """
     groups = defaultdict(list)
 
@@ -345,7 +328,7 @@ def _completions(steps, e, reach):
                 key += w
             elif not reach[a] & bbit:
                 if not e:  # the last edge: no reach is read after it
-                    groups[key + w].append(bits | 1)
+                    groups[key + w].append(bits | ebit)
                     break
                 head = reach[a]
                 walk(e, bits | ebit, key + w, [r | head if r & bbit else r for r in reach])
@@ -512,20 +495,6 @@ def _click_class_masks(g, masks):
     return tuple(tuple(masks[i] for i in block) for block in uf.groups())
 
 
-def _chunk_tables(weights):
-    """(low, table) per 11-bit chunk of a mask over len(weights) bits:
-    table[c] is the sum of the weights of the bits set in the chunk value
-    c, so a map that adds up per-bit weights reads a mask as
-    Σ table[bits >> low & 0x7FF], one lookup per chunk."""
-    tables = []
-    for low in range(0, len(weights), 11):
-        table = [0]
-        for weight in weights[low:low + 11]:
-            table += [key + weight for key in table]
-        tables.append((low, table))
-    return tables
-
-
 def _nu_classes(s):
     """The acyclic masks of the simple graph s grouped by ν on its
     fundamental cycles, classes and members ascending: one keyed
@@ -635,18 +604,22 @@ class PathSpec:
     def from_json(cls, obj):
         """Read {"vertices": [int...], "closed": bool, "edges": [int...]}.
 
-        Nothing is coerced: a float, string or bool where an integer
-        belongs, or a non-bool `closed`, is malformed.
+        Nothing is coerced or skipped: a value that is not an object, a
+        key other than these three, a float, string or bool where an
+        integer belongs, or a non-bool `closed`, is malformed.
         """
-        try:
-            vertices = obj["vertices"]
-        except (TypeError, KeyError) as exc:
-            raise GraphInputError(f"malformed path spec: {exc}") from None
+        if not isinstance(obj, dict):
+            raise GraphInputError("malformed path spec: a path spec must be a JSON object")
+        for key in obj:
+            if key not in ("vertices", "closed", "edges"):
+                raise GraphInputError(f"malformed path spec: unknown key {key!r}")
+        if "vertices" not in obj:
+            raise GraphInputError("malformed path spec: vertices is missing")
         closed = obj.get("closed", False)
         if not isinstance(closed, bool):
             raise GraphInputError("malformed path spec: closed must be true or false")
         edge_choice = _int_tuple("edges", obj["edges"]) if "edges" in obj else None
-        return cls(_int_tuple("vertices", vertices), closed, edge_choice)
+        return cls(_int_tuple("vertices", obj["vertices"]), closed, edge_choice)
 
     def to_json(self):
         obj = {"vertices": list(self.vertices), "closed": self.closed}

@@ -290,6 +290,9 @@ def test_internal_invariant_error_in_a_handler_is_exit_4(capsys, monkeypatch, c5
         ('{"vertices": [0, 7]}', "path vertex 7 out of range"),
         ('{"vertices": [0, 1, 2], "edges": [0]}', "edge_choice has 1 entries for 2 steps"),
         ('{"vertices": [0, 1], "closed": true}', "path uses edge 0 twice"),
+        ('{"vertices": [0, 1, 2], "close": true}', "unknown key 'close'"),
+        ("null", "path spec must be a JSON object"),
+        ('"abc"', "path spec must be a JSON object"),
     ],
 )
 def test_nu_rejects_an_invalid_path_spec(capsys, c5_file, spec, message):
