@@ -21,7 +21,7 @@ import json
 import os
 import random
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 from .collapse import build_collapse_graph, verify_collapse_structure
 from .corpus import GNP_DESCRIPTION, connected_simple_graphs, random_gnp_graph
@@ -31,15 +31,13 @@ from .kappa import kappa, kappa_with_trace
 from .orientations import (
     DEFAULT_BRUTE_FORCE_CAP,
     PathSpec,
-    _click_class_masks,
-    _normalize_bits,
-    _unique_source_masks,
     acyclic_masks,
     kappa_partition_bruteforce,
     nu_bits,
     unique_source_orientations,
 )
 from .tutte import tutte_eval, tutte_polynomial
+from .verify import verify_graph
 
 SCHEMA_VERSION = 1
 CAP_ENV_VAR = "KAPPA_BRUTE_CAP"
@@ -220,62 +218,6 @@ def _cmd_nu(args):
     return 0
 
 
-def _transversal_ok(part):
-    """At every vertex v of the connected graph: the unique-source masks
-    meet each class exactly once, and normalizing each class's least
-    member to source v lands on that class's unique-source mask.  The
-    partition checked the graph, so the mask cores run unchecked."""
-    g = part.graph
-    for v in range(g.n_vertices):
-        found = _unique_source_masks(g, v)
-        hit = [part.class_of_bits(bits) for bits in found]
-        if sorted(hit) != list(range(part.class_count)):
-            return False
-        for i, bits in zip(hit, found):
-            if _normalize_bits(g, part.classes[i][0], v)[0] != bits:
-                return False
-    return True
-
-
-def _verify_graph(g, cap):
-    """Cross-engine differential checks for one graph."""
-    part = kappa_partition_bruteforce(g, cap)
-    k_brute = part.class_count
-    k_recursion = kappa(g).value
-    poly = tutte_polynomial(g)
-    k_tutte = poly.evaluate(1, 0)
-    alpha_brute = sum(len(cls) for cls in part.classes)
-    alpha_tutte = poly.evaluate(2, 0)
-    # The partition groups the masks by ν on cycles, which gives the cut
-    # classes; the closure of the click graph is the independent algorithm
-    # it must match.  It closes the partition's own masks, so no second
-    # walk runs; alpha above checks that mask set against T(2, 0).
-    masks = sorted(chain.from_iterable(part.classes))
-    cut_ok = part.classes == _click_class_masks(part.graph, masks)
-    connected = g.is_connected
-
-    checks = {
-        "kappa_triple": {
-            "bruteforce": k_brute,
-            "recursion": k_recursion,
-            "tutte_1_0": k_tutte,
-            "ok": k_brute == k_recursion == k_tutte,
-        },
-        "alpha": {
-            "bruteforce": alpha_brute,
-            "tutte_2_0": alpha_tutte,
-            "ok": alpha_brute == alpha_tutte,
-        },
-        "cut_equivalence": {"ok": cut_ok},
-        "transversal": {
-            "ok": not connected or _transversal_ok(part),
-            "skipped": not connected,
-        },
-    }
-    ok = all(c["ok"] for c in checks.values())
-    return checks, ok
-
-
 def _cmd_verify(args):
     if args.random_corpus is not None and args.random_corpus < 1:
         raise GraphInputError("--random-corpus needs at least 1 graph")
@@ -303,7 +245,7 @@ def _cmd_verify(args):
     failures = 0
     lines = []
     for label, g, params in entries:
-        checks, ok = _verify_graph(g, args.cap)
+        checks, ok = verify_graph(g, args.cap)
         if not ok:
             failures += 1
         entry = {

@@ -590,8 +590,10 @@ def _int_tuple(key, value):
 class PathSpec:
     """A simple (possibly closed) path given by its vertex sequence.
 
-    A closed path may be written either with the first vertex repeated at
-    the end or with `closed=True` implying the wrap-around step.  When
+    A closed path needs `closed=True`, which implies the wrap-around step;
+    its vertex list may then also repeat the first vertex at the end.
+    Without `closed=True` a repeated vertex is rejected, the first one
+    at the end included.  When
     parallel edges make a step ambiguous, edge_choice must name the edge-id
     used for each step.
     """

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: outputs, exit codes, determinism."""
 
+import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kappatools
-from kappatools import cli, orientations
+from kappatools import cli, orientations, verify
 from kappatools.cli import build_parser, main
 from kappatools.corpus import cycle_graph
 from kappatools.errors import InternalInvariantError
@@ -207,9 +209,23 @@ def verify_checks(capsys, path):
     return code, json.loads(out)["graphs"][0]["checks"]
 
 
+def test_verify_catches_a_class_count_one_too_high(capsys, monkeypatch, c5_file):
+    engine = verify.kappa
+
+    def one_too_high(g):
+        result = engine(g)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(verify, "kappa", one_too_high)
+    code, checks = verify_checks(capsys, c5_file)
+    assert code == 4
+    assert checks["kappa_triple"]["ok"] is False
+    assert all(c["ok"] for name, c in checks.items() if name != "kappa_triple")
+
+
 def test_verify_catches_a_transversal_that_misses_a_class(capsys, monkeypatch, c5_file):
-    found = cli._unique_source_masks
-    monkeypatch.setattr(cli, "_unique_source_masks", lambda g, v: found(g, v)[1:])
+    found = verify._unique_source_masks
+    monkeypatch.setattr(verify, "_unique_source_masks", lambda g, v: found(g, v)[1:])
     code, checks = verify_checks(capsys, c5_file)
     assert code == 4
     assert checks["transversal"] == {"ok": False, "skipped": False}
@@ -217,13 +233,13 @@ def test_verify_catches_a_transversal_that_misses_a_class(capsys, monkeypatch, c
 
 
 def test_verify_catches_a_normalization_to_the_wrong_class(capsys, monkeypatch, c5_file):
-    normalize = cli._normalize_bits
+    normalize = verify._normalize_bits
 
     def to_first_class(g, bits, v):
         first = orientations.kappa_partition_bruteforce(g).classes[0][0]
         return normalize(g, first, v)
 
-    monkeypatch.setattr(cli, "_normalize_bits", to_first_class)
+    monkeypatch.setattr(verify, "_normalize_bits", to_first_class)
     code, checks = verify_checks(capsys, c5_file)
     assert code == 4
     assert checks["transversal"] == {"ok": False, "skipped": False}
@@ -519,6 +535,20 @@ def test_handlers_look_up_engines_when_they_run(capsys, c5_file, monkeypatch):
     code, out, _ = run_cli(capsys, "kappa", c5_file)
     assert (code, out) == (0, "4\n")
     assert calls == [5]
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    # The CLI parses and prints; a check that needs a private core of the
+    # library belongs in the library, next to that core.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_non_utf8_file_is_exit_2(capsys, tmp_path):
