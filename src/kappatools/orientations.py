@@ -593,9 +593,8 @@ class PathSpec:
     A closed path needs `closed=True`, which implies the wrap-around step;
     its vertex list may then also repeat the first vertex at the end.
     Without `closed=True` a repeated vertex is rejected, the first one
-    at the end included.  When
-    parallel edges make a step ambiguous, edge_choice must name the edge-id
-    used for each step.
+    at the end included.  When parallel edges make a step ambiguous,
+    edge_choice must name the edge-id used for each step.
     """
 
     vertices: tuple
