@@ -34,6 +34,7 @@ from .orientations import (
     acyclic_masks,
     kappa_partition_bruteforce,
     nu_bits,
+    nu_per_class,
     unique_source_orientations,
 )
 from .tutte import tutte_eval, tutte_polynomial
@@ -75,21 +76,15 @@ def _emit(args, descriptor, body, text_lines):
 
 def _cmd_kappa(args):
     g, descriptor = _read_input(args)
+    result = kappa_with_trace(g) if args.trace else kappa(g)
+    body = {
+        "value": result.value,
+        "cache": {"hits": result.cache_stats.hits, "misses": result.cache_stats.misses},
+    }
+    lines = [str(result.value)]
     if args.trace:
-        result = kappa_with_trace(g)
-        trace = result.trace.to_json()
-        body = {"value": result.value, "trace": trace}
-        lines = [str(result.value), json.dumps(trace, sort_keys=True)]
-    else:
-        result = kappa(g)
-        body = {
-            "value": result.value,
-            "cache": {
-                "hits": result.cache_stats.hits,
-                "misses": result.cache_stats.misses,
-            },
-        }
-        lines = [str(result.value)]
+        body["trace"] = [node.to_json() for node in result.trace]
+        lines.extend(json.dumps(node, sort_keys=True) for node in body["trace"])
     _emit(args, descriptor, body, lines)
     return 0
 
@@ -180,26 +175,9 @@ def _cmd_nu(args):
     spec = PathSpec.from_json(raw)
     g, descriptor = _read_input(args)
     if spec.closed:
-        # The representatives live on simplify(g).  Edge ids name the
-        # input's edge lines, so a path that gives them is read on the
-        # input, where each representative lifts: every parallel copy takes
-        # the bit of the copy simplify kept, since an acyclic orientation
-        # directs parallel copies alike.  Without edge ids the vertices
-        # alone fix every step on simplify(g).
-        if spec.edge_choice is not None:
-            up, down = spec.edge_masks(g)
-        part = kappa_partition_bruteforce(g, args.cap)
-        reps = [cls[0] for cls in part.classes]
-        if spec.edge_choice is None:
-            up, down = spec.edge_masks(part.graph)
-            read = reps
-        else:
-            kept = {edge: i for i, edge in enumerate(part.graph.edges)}
-            copies = [kept[edge] for edge in g.edges]
-            read = [sum((rep >> s & 1) << f for f, s in enumerate(copies)) for rep in reps]
         values = [
-            {"class": i, "representative": f"{rep:x}", "nu": nu_bits(bits, up, down)}
-            for i, (rep, bits) in enumerate(zip(reps, read))
+            {"class": i, "representative": f"{rep:x}", "nu": nu}
+            for i, (rep, nu) in enumerate(nu_per_class(g, spec, args.cap))
         ]
         lines = [
             f"class {v['class']} representative {v['representative']}: {v['nu']}"
@@ -315,7 +293,9 @@ def build_parser():
 
     p = add("kappa", _cmd_kappa, "class count by the y=0 engine, without enumeration")
     p.add_argument(
-        "--trace", action="store_true", help="attach the deletion/contraction recursion tree"
+        "--trace", action="store_true",
+        help="count by the memoised deletion/contraction recursion and list its "
+        "distinct nodes, children by key",
     )
     add(
         "alpha", _cmd_alpha,

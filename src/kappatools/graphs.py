@@ -14,7 +14,9 @@ relabelled block graphs are built once per graph as
 order of the frontier walk, built from `bfs_order` once per graph;
 `kappa.frontier_sum` and the acyclic-mask walk's split
 (`orientations._walk_plan`) both read it.  `memo_key` orders its own
-vertices by `bfs_order`, so the trace keys do not follow the walk order.
+vertices by `bfs_order`, so the trace keys do not follow the walk order;
+the graph a key spells is built once per graph as
+`Multigraph._memo_graph`, and the trace recursion splits that graph.
 """
 
 from __future__ import annotations
@@ -256,6 +258,19 @@ class Multigraph:
         return bridges, pieces
 
     @cached_property
+    def _memo_graph(self):
+        """This graph as its `memo_key` spells it: the vertices relabelled
+        by `bfs_order` and the edges sorted.  The trace recursion splits
+        this graph, so a node's children follow from its key alone."""
+        relabel = [0] * self.n_vertices
+        for new, old in enumerate(bfs_order(self)):
+            relabel[old] = new
+        pairs = ((relabel[a], relabel[b]) for a, b in self.edges)
+        return Multigraph(
+            self.n_vertices, tuple(sorted((a, b) if a <= b else (b, a) for a, b in pairs))
+        )
+
+    @cached_property
     def _bridge_ids(self):
         """Edge ids of bridges: the blocks of one edge."""
         return frozenset(b[0] for b in self.blocks if len(b) == 1)
@@ -373,22 +388,20 @@ def bfs_order(g):
 
 
 def memo_key(g):
-    """Deterministic serialization that names the nodes of the trace
-    recursion (`kappa.kappa_with_trace`).
+    """The memo key of the trace recursion (`kappa.kappa_with_trace`):
+    the graph `Multigraph._memo_graph` serialized, its vertex count and
+    its sorted edge pairs.
 
-    Vertices are relabeled by `bfs_order` and the edge multiset is
-    serialized sorted.  The key is stable for equal-shaped inputs met
-    along a recursion but is NOT an isomorphism-canonical form; no engine
-    value depends on it.  It calls `bfs_order` itself rather than reading
-    `Multigraph.walk_order`, so that the walk order can change without
-    changing the keys that `kappa --trace` prints.
+    Equal keys spell the same relabelled edge multiset, so the graphs
+    they come from are isomorphic and share every value of the Tutte
+    polynomial: the key is a sound memo.  It is not a complete one, since
+    isomorphic graphs can get different keys.  It calls `bfs_order`
+    itself rather than reading `Multigraph.walk_order`, so that the walk
+    order can change without changing the keys that `kappa --trace`
+    prints.
     """
-    relabel = {old: new for new, old in enumerate(bfs_order(g))}
-    pairs = sorted(
-        (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-        for a, b in g.edges
-    )
-    return f"{g.n_vertices}:" + ",".join(f"{a}-{b}" for a, b in pairs)
+    h = g._memo_graph
+    return f"{h.n_vertices}:" + ",".join(f"{a}-{b}" for a, b in h.edges)
 
 
 MAX_PARSED_VERTICES = 10**6

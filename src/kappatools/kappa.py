@@ -38,12 +38,12 @@ vertex subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput. 2009),
 run as one forward pass that takes the subsets by falling size; a dense
 piece has few independent sets, so the DP reaches few subsets.
 
-`kappa_with_trace` runs a separate recursion, `_trace`: the paper's
-deletion/contraction at x = 1, unmemoized, without the cycle rule, the
-frontier sum or the subset DP, so its tree is the complete unfolded
-recursion, and the one path here that recurses in Python.  It prunes
-bridges and splits components by `_core`, not into blocks, and names
-each node by the `memo_key` of the graph it meets.
+`kappa_with_trace` runs the paper's recursion, kappa(G) = kappa(G - e) +
+kappa(G/e) for an edge e on a cycle, memoised by `graphs.memo_key`, a
+sound key: each distinct key is one node, which splits the graph its key
+spells.  It shares the engine's split, `_blocks` (a graph of several
+blocks is their product), but none of its counting: no cycle rule,
+frontier sum or subset DP, so its value is a second count.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from operator import lshift
 from .errors import CapExceededError, GraphInputError
 from .graphs import memo_key
 
-TRACE_LEAF_CAP = 10_000
+TRACE_NODE_CAP = 10_000
 
 # Pieces with at least this share of all vertex pairs as edges go to the
 # subset DP; sparser ones to the frontier sum.
@@ -68,8 +68,9 @@ FRONTIER_CAP = 255
 
 @dataclass
 class CacheStats:
-    """Arrivals at vertex subsets in the subset DP: a miss reaches a
-    subset the first time, a hit reaches it again."""
+    """Memo arrivals: at vertex subsets in the subset DP, at node keys in
+    the trace recursion.  A miss reaches one the first time, a hit
+    reaches it again."""
 
     hits: int = 0
     misses: int = 0
@@ -77,10 +78,12 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class TraceNode:
-    """One step of the unfolded recursion, for explainability."""
+    """One distinct node of the memoised recursion: its key, the rule
+    that splits the graph the key spells, the edge it splits at, its
+    value and its children's keys."""
 
     key: str
-    rule: str  # "base" | "product" | "bridge-prune" | "recursion"
+    rule: str  # "base" | "blocks" | "recursion"
     edge: tuple | None
     value: int
     children: tuple
@@ -91,19 +94,14 @@ class TraceNode:
             "rule": self.rule,
             "edge": None if self.edge is None else list(self.edge),
             "value": self.value,
-            "children": [c.to_json() for c in self.children],
+            "children": list(self.children),
         }
-
-    def leaf_count(self):
-        if not self.children:
-            return 1
-        return sum(c.leaf_count() for c in self.children)
 
 
 @dataclass
 class KappaResult:
     value: int
-    trace: TraceNode | None = None
+    trace: tuple | None = None  # every distinct TraceNode, the root first
     cache_stats: CacheStats = field(default_factory=CacheStats)
 
 
@@ -387,12 +385,6 @@ def _partition_counts(c, stats):
     return [(total >> k * width) & mask for k in range(n + 1)]
 
 
-def _core(g):
-    """simplify(g) and its bridgeless core, without isolated vertices."""
-    s = g.simplify()
-    return s, s.cycle_subgraph().drop_isolated()
-
-
 def _blocks(g):
     """The blocks of simplify(g), its 2-connected pieces and bridges:
     `Multigraph.block_graphs`, the number of bridges and one relabelled
@@ -440,30 +432,39 @@ def _solve(g, x, stats):
     return value
 
 
-def _trace(g):
-    """The unfolded recursion tree of g at x = 1."""
-    s, core = _core(g)
-    if core.m == 0:
-        return TraceNode(memo_key(core), "base", None, 1, ())
-    pieces = core.split_components()
-    if len(pieces) == 1:
-        node = _trace_component(core)
+def _trace(g, nodes, stats):
+    """The key of g's node, once it and all below it are in `nodes`, a
+    dict from key to TraceNode in the order first met.
+
+    The node splits h = g's `Multigraph._memo_graph` by `_blocks`: with no
+    block h is a base case worth 1; if h is its own one block, simple and
+    2-connected, h splits at its least edge e into h - e and h/e, whose
+    values add; otherwise its blocks are its children, whose values
+    multiply.  Each level nests one Python frame, about n on C_n.
+    """
+    key = memo_key(g)
+    if key in nodes:
+        stats.hits += 1
+        return key
+    if len(nodes) == TRACE_NODE_CAP:
+        raise CapExceededError("trace", len(nodes) + 1, TRACE_NODE_CAP, unit="nodes")
+    stats.misses += 1
+    nodes[key] = None  # holds the node's place before its children's
+    h = g._memo_graph
+    _, blocks = _blocks(h)
+    if not blocks:
+        rule, edge, parts = "base", None, ()
+    elif blocks[0] is h:
+        rule, edge, parts = "recursion", h.edges[0], (h.delete_edge(0), h.contract_edge(0))
     else:
-        children = tuple(_trace_component(p) for p in pieces)
-        value = prod(c.value for c in children)
-        node = TraceNode(memo_key(core), "product", None, value, children)
-    if s.m != core.m:
-        node = TraceNode(memo_key(s), "bridge-prune", None, node.value, (node,))
-    return node
-
-
-def _trace_component(c):
-    """c is connected, simple, bridge-free, with at least one edge; the
-    recursion splits it at its least edge."""
-    eid = min(range(c.m), key=c.edges.__getitem__)
-    children = (_trace(c.delete_edge(eid)), _trace(c.contract_edge(eid)))
-    value = children[0].value + children[1].value
-    return TraceNode(memo_key(c), "recursion", c.edges[eid], value, children)
+        rule, edge, parts = "blocks", None, blocks
+    children = []
+    for c in parts:  # a loop, not a comprehension: one frame per level
+        children.append(_trace(c, nodes, stats))
+    values = [nodes[k].value for k in children]
+    value = sum(values) if rule == "recursion" else prod(values)
+    nodes[key] = TraceNode(key, rule, edge, value, tuple(children))
+    return key
 
 
 def kappa(g):
@@ -485,17 +486,15 @@ def kappa(g):
 
 
 def kappa_with_trace(g):
-    """Like kappa, but with the full recursion tree attached.
-
-    The tree comes from a separate recursion that has no memo, no subset
-    DP and no closed-form cycle rule, so it is the complete unfolded
-    recursion and its `cache_stats` stay zero.  Every leaf is a base case
-    worth 1 and every product factor is at least 2, so the tree has at
-    most kappa leaves; kappa(g) is computed first, and a value above
-    TRACE_LEAF_CAP raises CapExceededError instead of building the tree.
+    """Like kappa, but by the memoised recursion `_trace`: `trace` holds
+    every distinct node once, the root first, and `cache_stats` counts
+    the memo's misses (the nodes) and hits.  Past TRACE_NODE_CAP nodes it
+    raises CapExceededError, and nested past the interpreter's recursion
+    limit (a 1,200-cycle) RecursionError.
     """
-    value = kappa(g).value
-    if value > TRACE_LEAF_CAP:
-        raise CapExceededError("trace", value, TRACE_LEAF_CAP, unit="possible leaves")
-    node = _trace(g)
-    return KappaResult(node.value, node)
+    if g.has_loops:
+        raise GraphInputError("graph has loops; loops admit no acyclic orientation")
+    nodes = {}
+    stats = CacheStats()
+    root = _trace(g, nodes, stats)
+    return KappaResult(nodes[root].value, tuple(nodes.values()), stats)

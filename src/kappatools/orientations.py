@@ -698,6 +698,35 @@ def nu_path(o, p):
     return nu_bits(o.bits, *p.edge_masks(o.graph))
 
 
+def nu_per_class(g, spec, cap=None):
+    """ν of the closed path `spec` on each click class of simplify(g): one
+    (representative, ν) pair per class, in class order, each
+    representative a mask of simplify(g).
+
+    Edge ids name the input's edge lines, so a path that gives them is
+    checked on g before the partition runs, and read there: each
+    representative lifts to g, every parallel copy taking the bit of the
+    copy simplify kept, since an acyclic orientation directs parallel
+    copies alike.  Without edge ids the vertices alone fix every step on
+    simplify(g).
+    """
+    if not spec.closed:
+        raise GraphInputError("ν is a class invariant only on a closed path")
+    if spec.edge_choice is not None:
+        up, down = spec.edge_masks(g)
+    part = kappa_partition_bruteforce(g, cap)
+    reps = [cls[0] for cls in part.classes]
+    if spec.edge_choice is None:
+        up, down = spec.edge_masks(part.graph)
+        return [(rep, nu_bits(rep, up, down)) for rep in reps]
+    kept = {edge: i for i, edge in enumerate(part.graph.edges)}
+    copies = [kept[edge] for edge in g.edges]
+    return [
+        (rep, nu_bits(sum((rep >> s & 1) << f for f, s in enumerate(copies)), up, down))
+        for rep in reps
+    ]
+
+
 def cut_equivalent(o1, o2):
     """True iff o1 and o2 differ on nothing, or exactly on an oriented cut.
 

@@ -3,9 +3,10 @@
 `verify_graph` runs four legs on one graph and reports each with its
 values and an `ok` flag:
 
-- `kappa_triple`: the class count by brute force, by the y = 0 engine
-  (reported as `"recursion"`, though `kappa.kappa` runs no recursion) and
-  as T(1, 0) of the full Tutte polynomial;
+- `kappa_triple`: the class count by brute force, by the paper's
+  deletion/contraction recursion (`kappa.kappa_with_trace`, memoised), by
+  the y = 0 engine (`kappa.kappa`, reported as `"engine"`) and as T(1, 0)
+  of the full Tutte polynomial;
 - `alpha`: the acyclic mask count by brute force and as T(2, 0);
 - `cut_equivalence`: the partition's classes against the closure of the
   click graph over the same masks;
@@ -14,10 +15,12 @@ values and an `ok` flag:
   lands on its unique-source mask (skipped on a disconnected graph).
 
 Brute force, the click-graph closure and the transversal are independent
-algorithms.  The other two share code: on sparse pieces the y = 0 engine
-and the Tutte polynomial both run `kappa.frontier_sum`, so `"recursion"`
-and `"tutte_1_0"` can agree on a wrong value, and brute force is the leg
-of `kappa_triple` that is independent of both.
+algorithms.  The recursion shares the engine's split into blocks
+(`kappa._blocks`) but none of its counting.  The engine and the Tutte
+polynomial share code: on sparse pieces both run `kappa.frontier_sum`, so
+`"engine"` and `"tutte_1_0"` can agree on a wrong value.  Brute force
+shares no code with the recursion or the engine, so it stays the leg of
+`kappa_triple` that is independent of the others.
 
 The partition checks its graph once, so the mask cores of `orientations`
 run here unchecked, on masks the library made.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .kappa import kappa
+from .kappa import kappa, kappa_with_trace
 from .orientations import (
     _click_class_masks,
     _normalize_bits,
@@ -61,7 +64,8 @@ def verify_graph(g, cap):
     CapExceededError before any other leg runs."""
     part = kappa_partition_bruteforce(g, cap)
     k_brute = part.class_count
-    k_recursion = kappa(g).value
+    k_recursion = kappa_with_trace(g).value
+    k_engine = kappa(g).value
     poly = tutte_polynomial(g)
     k_tutte = poly.evaluate(1, 0)
     alpha_brute = sum(len(cls) for cls in part.classes)
@@ -78,8 +82,9 @@ def verify_graph(g, cap):
         "kappa_triple": {
             "bruteforce": k_brute,
             "recursion": k_recursion,
+            "engine": k_engine,
             "tutte_1_0": k_tutte,
-            "ok": k_brute == k_recursion == k_tutte,
+            "ok": k_brute == k_recursion == k_engine == k_tutte,
         },
         "alpha": {
             "bruteforce": alpha_brute,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import kappatools
 from kappatools import cli, orientations, verify
 from kappatools.cli import build_parser, main
-from kappatools.corpus import cycle_graph
+from kappatools.corpus import cycle_graph, path_graph
 from kappatools.errors import InternalInvariantError
 from kappatools.graphs import Multigraph
 
@@ -59,7 +59,10 @@ def test_kappa_trace_json(capsys, c5_file):
     assert payload["schema"] == 1
     assert payload["command"] == "kappa"
     assert payload["value"] == 4
-    assert payload["trace"]["rule"] == "recursion"
+    trace = payload["trace"]
+    assert trace[0]["rule"] == "recursion"
+    # each distinct node is listed once, and each miss of the memo is one
+    assert len({node["key"] for node in trace}) == len(trace) == payload["cache"]["misses"]
 
 
 def test_eval_tree_at_1_0(capsys, tree_file):
@@ -221,6 +224,21 @@ def test_verify_catches_a_class_count_one_too_high(capsys, monkeypatch, c5_file)
     assert code == 4
     assert checks["kappa_triple"]["ok"] is False
     assert all(c["ok"] for name, c in checks.items() if name != "kappa_triple")
+
+
+def test_verify_reports_the_recursion_apart_from_the_engine(capsys, monkeypatch, c5_file):
+    recursion = verify.kappa_with_trace
+
+    def one_too_high(g):
+        result = recursion(g)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(verify, "kappa_with_trace", one_too_high)
+    code, checks = verify_checks(capsys, c5_file)
+    assert code == 4
+    triple = checks["kappa_triple"]
+    assert (triple["bruteforce"], triple["recursion"], triple["engine"], triple["tutte_1_0"]) == (4, 5, 4, 4)
+    assert triple["ok"] is False
 
 
 def test_verify_catches_a_transversal_that_misses_a_class(capsys, monkeypatch, c5_file):
@@ -598,25 +616,28 @@ def test_too_deep_recursion_is_exit_3(capsys, tmp_path):
     assert code == 0
     assert out == "119401\n"
 
-    c500 = tmp_path / "c500.txt"
-    c500.write_text(cycle_graph(500).to_edge_list_text())
-    code, out, err = run_cli(capsys, "kappa", str(c500), "--trace")
+    # the mask search spends one Python frame per free edge
+    path = tmp_path / "p1200.txt"
+    path.write_text(path_graph(1201).to_edge_list_text())
+    code, out, err = run_cli(capsys, "alpha", str(path), "--cap", "2000")
     assert code == 3
+    assert out == ""
     assert err.startswith("error: recursion too deep")
 
 
-def test_trace_over_the_leaf_cap_is_exit_3_at_once(capsys, tmp_path):
-    cols = 5
-    edges = [(v, v + 1) for v in range(20) if v % cols != cols - 1]
-    edges += [(v, v + cols) for v in range(20 - cols)]
-    grid = tmp_path / "grid4x5.txt"
-    grid.write_text(Multigraph(20, tuple(edges)).to_edge_list_text())
+def test_trace_over_the_node_cap_is_exit_3(capsys, tmp_path):
+    # grid 6x6 passes 10,000 distinct nodes after about a second
+    cols = 6
+    edges = [(v, v + 1) for v in range(36) if v % cols != cols - 1]
+    edges += [(v, v + cols) for v in range(36 - cols)]
+    grid = tmp_path / "grid6x6.txt"
+    grid.write_text(Multigraph(36, tuple(edges)).to_edge_list_text())
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "kappa", str(grid), "--trace", "--format", "json")
     assert time.perf_counter() - start < 5
     assert code == 3
     assert out == ""
-    assert "trace has 441765 possible leaves, exceeding the cap of 10000" in err
+    assert "trace has 10001 nodes, exceeding the cap of 10000" in err
 
 
 COMMANDS = ("kappa", "alpha", "tutte", "eval", "classes", "transversal", "collapse", "nu", "verify")

@@ -1,5 +1,9 @@
-"""The y=0 engine against the brute-force and Tutte routes."""
+"""The y=0 engine against the brute-force and Tutte routes, and the
+memoised deletion/contraction recursion of `kappa_with_trace` against
+both, node by node."""
 
+import functools
+import math
 import random
 
 import pytest
@@ -13,7 +17,7 @@ from kappatools.corpus import (
     random_forest,
 )
 from kappatools.errors import GraphInputError
-from kappatools.graphs import Multigraph
+from kappatools.graphs import Multigraph, memo_key
 from kappatools.kappa import CacheStats, kappa, kappa_with_trace
 from kappatools.orientations import kappa_partition_bruteforce
 from kappatools.tutte import tutte_eval, tutte_polynomial
@@ -137,64 +141,168 @@ def test_cache_stats_count_hits_and_each_call_starts_fresh():
     assert again.cache_stats == first.cache_stats
 
 
-# ----- traces -----
+# ----- the memoised recursion -----
+
+def spelled(key):
+    """The graph a memo key spells: its vertex count and sorted edge pairs."""
+    n, edges = key.split(":")
+    return Multigraph(int(n), tuple(tuple(map(int, e.split("-"))) for e in edges.split(",") if e))
+
+
+def nodes_by_key(result):
+    return {node.key: node for node in result.trace}
+
+
+def leaf_count(result):
+    """Leaves of the tree the DAG unfolds to: a recursion node's children
+    and a blocks node's factors each add their leaves."""
+    nodes = nodes_by_key(result)
+
+    @functools.cache
+    def leaves(key):
+        return sum(leaves(k) for k in nodes[key].children) or 1
+
+    return leaves(result.trace[0].key)
+
+
+def grid(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Multigraph(rows * cols, tuple(right + down))
+
+
+PETERSEN = Multigraph(10, tuple(
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+))
+
 
 def test_tree_trace_is_single_base_node():
     result = kappa_with_trace(path_graph(5))
-    assert result.trace.rule == "base"
-    assert result.trace.children == ()
+    (node,) = result.trace
+    assert (node.rule, node.children, node.value) == ("base", (), 1)
     assert result.value == 1
 
 
 def test_triangle_trace_shape():
     result = kappa_with_trace(cycle_graph(3))
-    trace = result.trace
-    assert trace.rule == "recursion"
-    assert trace.edge == (0, 1)
-    assert [c.rule for c in trace.children] == ["base", "base"]
-    assert trace.value == 2
+    root = result.trace[0]
+    assert root.rule == "recursion"
+    assert root.edge == (0, 1)
+    nodes = nodes_by_key(result)
+    assert [nodes[k].rule for k in root.children] == ["base", "base"]
+    assert root.value == 2
 
 
 def test_k4_trace_leaf_count_equals_value():
     result = kappa_with_trace(complete_graph(4))
-    assert result.trace.leaf_count() == result.value == 6
+    assert leaf_count(result) == result.value == 6
 
 
 def test_trace_leaf_count_is_at_most_the_value():
-    # products multiply their factors' values but add their leaves
+    # a blocks node multiplies its factors' values but adds their leaves
     three_triangles = Multigraph(
         9, tuple((3 * k + a, 3 * k + b) for k in range(3) for a, b in ((0, 1), (1, 2), (0, 2)))
     )
     result = kappa_with_trace(three_triangles)
-    assert result.trace.rule == "product"
-    assert result.trace.leaf_count() == 6
+    root = result.trace[0]
+    assert root.rule == "blocks"
+    # the three triangles spell one key, so the memo keeps one node for them
+    assert len(set(root.children)) == 1
+    assert leaf_count(result) == 6
     assert result.value == 8
 
 
 def test_cycle_trace_unfolds_instead_of_closed_form():
     result = kappa_with_trace(cycle_graph(6))
-    assert result.trace.rule == "recursion"
-    assert [c.rule for c in result.trace.children] == ["base", "recursion"]
-    assert result.trace.leaf_count() == result.value == 5
+    nodes = nodes_by_key(result)
+    root = result.trace[0]
+    assert root.rule == "recursion"
+    assert [nodes[k].rule for k in root.children] == ["base", "recursion"]
+    assert leaf_count(result) == result.value == 5
 
 
-def test_bridge_prune_appears_for_triangle_with_tail():
+def test_blocks_rule_prunes_the_tail_of_a_triangle():
     g = Multigraph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
-    trace = kappa_with_trace(g).trace
-    assert trace.rule == "bridge-prune"
-    assert len(trace.children) == 1
-    assert trace.children[0].rule == "recursion"
+    result = kappa_with_trace(g)
+    root = result.trace[0]
+    assert root.rule == "blocks"
+    assert len(root.children) == 1
+    assert nodes_by_key(result)[root.children[0]].rule == "recursion"
 
 
-def test_product_rule_for_disjoint_pieces():
-    trace = kappa_with_trace(TWO_TRIANGLES).trace
-    assert trace.rule == "product"
-    assert len(trace.children) == 2
-    assert trace.value == 4
+def test_blocks_rule_multiplies_disjoint_pieces():
+    root = kappa_with_trace(TWO_TRIANGLES).trace[0]
+    assert root.rule == "blocks"
+    assert len(root.children) == 2
+    assert root.value == 4
 
 
 def test_trace_json_shape():
-    node = kappa_with_trace(cycle_graph(3)).trace.to_json()
-    assert set(node) == {"key", "rule", "edge", "value", "children"}
-    assert node["edge"] == [0, 1]
-    assert all(set(c) == set(node) for c in node["children"])
+    trace = [node.to_json() for node in kappa_with_trace(cycle_graph(3)).trace]
+    keys = {node["key"] for node in trace}
+    assert all(set(node) == {"key", "rule", "edge", "value", "children"} for node in trace)
+    assert trace[0]["edge"] == [0, 1]
+    assert all(child in keys for node in trace for child in node["children"])
+
+
+def test_each_distinct_key_is_one_node_and_the_memo_counts_the_rest():
+    result = kappa_with_trace(PETERSEN)
+    keys = [node.key for node in result.trace]
+    assert len(keys) == len(set(keys)) == result.cache_stats.misses == 110
+    assert result.cache_stats.hits > 0
+    # the unfolded tree has a leaf per class
+    assert leaf_count(result) == result.value == 704
+
+
+def test_recursion_matches_the_engine_and_brute_force(small_corpus, small_partitions):
+    for g in small_corpus:
+        value = kappa_with_trace(g).value
+        assert value == kappa(g).value == small_partitions[g].class_count, g
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_recursion_on_cycles(n):
+    assert kappa_with_trace(cycle_graph(n)).value == n - 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_recursion_on_cliques(n):
+    assert kappa_with_trace(complete_graph(n)).value == math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_recursion_on_wheels(k):
+    # W_k: a hub joined to every vertex of a rim of k
+    assert kappa_with_trace(wheel_graph(k + 1)).value == 2**k - 2
+
+
+@pytest.mark.parametrize("g", [PETERSEN, complete_graph(5), grid(3, 3)], ids=["petersen", "K5", "grid3x3"])
+def test_every_node_is_worth_kappa_of_the_graph_its_key_spells(g):
+    result = kappa_with_trace(g)
+    nodes = nodes_by_key(result)
+    assert result.trace[0].key == memo_key(g)
+    for node in result.trace:
+        h = spelled(node.key)
+        assert memo_key(h) == node.key
+        assert node.value == kappa(h).value, node.key
+        values = [nodes[k].value for k in node.children]
+        if node.rule == "recursion":
+            # the children follow from the key alone: h split at its least edge
+            assert node.edge == h.edges[0] == min(h.edges)
+            assert node.children == (memo_key(h.delete_edge(0)), memo_key(h.contract_edge(0)))
+            assert node.value == sum(values)
+        else:
+            assert node.value == math.prod(values)
+
+
+def test_recursion_nests_one_frame_per_level():
+    # C500 nests about 500 levels, inside the default recursion limit
+    result = kappa_with_trace(cycle_graph(500))
+    assert (result.value, len(result.trace)) == (499, 997)
+
+
+def test_recursion_rejects_loops():
+    with pytest.raises(GraphInputError):
+        kappa_with_trace(Multigraph(2, ((0, 0), (0, 1))))

@@ -50,6 +50,7 @@ from kappatools.orientations import (
     normalize_to_unique_source,
     nu_bits,
     nu_path,
+    nu_per_class,
     orientation_from_permutation,
     topological_order,
     unique_source_orientations,
@@ -681,6 +682,50 @@ def test_parallel_edges_need_edge_choice():
         nu_path(o, PathSpec((0, 1)))
     assert nu_path(o, PathSpec((0, 1), edge_choice=(0,))) == 1
     assert nu_path(o, PathSpec((0, 1), closed=True, edge_choice=(0, 1))) == 0
+
+
+# 0-1 and 1-2 doubled: edge lines 0 and 1 join 0 and 1, lines 2 and 4 join 1 and 2
+PARALLELS = Multigraph(3, ((0, 1), (0, 1), (1, 2), (0, 2), (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PathSpec((0, 1, 2), closed=True),
+        PathSpec((0, 1, 2), closed=True, edge_choice=(0, 4, 3)),
+        PathSpec((0, 1, 2), closed=True, edge_choice=(1, 2, 3)),
+        PathSpec((2, 1, 0), closed=True, edge_choice=(4, 1, 3)),
+        PathSpec((0, 1), closed=True, edge_choice=(0, 1)),
+    ],
+)
+def test_nu_per_class_lifts_each_representative_onto_the_parallel_copies(spec):
+    # oracle: a path with edge ids is read on the input, where each
+    # representative's topological order directs every edge line, parallel
+    # copies alike; a path of vertices alone is read on simplify(g)
+    part = kappa_partition_bruteforce(PARALLELS)
+    got = nu_per_class(PARALLELS, spec)
+    assert [rep for rep, _ in got] == [cls[0] for cls in part.classes]
+    for rep, nu in got:
+        o = Orientation(part.graph, rep)
+        if spec.edge_choice is not None:
+            o = orientation_from_permutation(PARALLELS, topological_order(o))
+        assert nu == nu_path(o, spec)
+    if len(spec.vertices) == 2:
+        # out along one copy and back along the other
+        assert {nu for _, nu in got} == {0}
+
+
+def test_nu_per_class_needs_a_closed_path():
+    with pytest.raises(GraphInputError, match="closed path"):
+        nu_per_class(PARALLELS, PathSpec((0, 1, 2), edge_choice=(0, 4)))
+
+
+def test_nu_per_class_checks_the_edge_ids_before_the_cap():
+    # an edge id that joins the wrong pair is reported, not the cap
+    with pytest.raises(GraphInputError, match="edge 2 does not join 0 and 1"):
+        nu_per_class(PARALLELS, PathSpec((0, 1, 2), closed=True, edge_choice=(2, 4, 3)), cap=1)
+    with pytest.raises(CapExceededError):
+        nu_per_class(PARALLELS, PathSpec((0, 1, 2), closed=True, edge_choice=(0, 4, 3)), cap=1)
 
 
 @pytest.mark.parametrize("edge_choice", [None, tuple(range(20_000))], ids=["vertices", "edge-ids"])

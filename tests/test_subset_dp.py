@@ -1,5 +1,5 @@
 """The subset DP of the y=0 engine against oracles that share no code with
-it: brute force, the unfolded trace recursion, the full Tutte polynomial,
+it: brute force, the memoised trace recursion, the full Tutte polynomial,
 the frontier sum and a plain enumeration of set partitions.
 
 The engine sends only dense pieces to the DP.  The `dp_only` fixture sets
