@@ -33,8 +33,7 @@ from .orientations import (
     PathSpec,
     acyclic_masks,
     kappa_partition_bruteforce,
-    nu_bits,
-    nu_per_class,
+    nu_values,
     unique_source_orientations,
 )
 from .tutte import tutte_eval, tutte_polynomial
@@ -174,10 +173,11 @@ def _cmd_nu(args):
         raise GraphInputError(f"malformed --path JSON: {exc}") from None
     spec = PathSpec.from_json(raw)
     g, descriptor = _read_input(args)
+    pairs = nu_values(g, spec, args.cap)
     if spec.closed:
         values = [
             {"class": i, "representative": f"{rep:x}", "nu": nu}
-            for i, (rep, nu) in enumerate(nu_per_class(g, spec, args.cap))
+            for i, (rep, nu) in enumerate(pairs)
         ]
         lines = [
             f"class {v['class']} representative {v['representative']}: {v['nu']}"
@@ -185,11 +185,7 @@ def _cmd_nu(args):
         ]
         body = {"path": spec.to_json(), "per_class": values}
     else:
-        masks = acyclic_masks(g, args.cap)
-        up, down = spec.edge_masks(g)
-        values = [
-            {"orientation": f"{bits:x}", "nu": nu_bits(bits, up, down)} for bits in masks
-        ]
+        values = [{"orientation": f"{bits:x}", "nu": nu} for bits, nu in pairs]
         lines = [f"{v['orientation']}: {v['nu']}" for v in values]
         body = {"path": spec.to_json(), "per_orientation": values}
     _emit(args, descriptor, body, lines)

@@ -15,8 +15,8 @@ order of the frontier walk, built from `bfs_order` once per graph;
 `kappa.frontier_sum` and the acyclic-mask walk's split
 (`orientations._walk_plan`) both read it.  `memo_key` orders its own
 vertices by `bfs_order`, so the trace keys do not follow the walk order;
-the graph a key spells is built once per graph as
-`Multigraph._memo_graph`, and the trace recursion splits that graph.
+`memo_entry` gives a key with the graph it spells, built once per graph,
+which the trace recursion splits.
 """
 
 from __future__ import annotations
@@ -260,8 +260,7 @@ class Multigraph:
     @cached_property
     def _memo_graph(self):
         """This graph as its `memo_key` spells it: the vertices relabelled
-        by `bfs_order` and the edges sorted.  The trace recursion splits
-        this graph, so a node's children follow from its key alone."""
+        by `bfs_order` and the edges sorted."""
         relabel = [0] * self.n_vertices
         for new, old in enumerate(bfs_order(self)):
             relabel[old] = new
@@ -402,6 +401,13 @@ def memo_key(g):
     """
     h = g._memo_graph
     return f"{h.n_vertices}:" + ",".join(f"{a}-{b}" for a, b in h.edges)
+
+
+def memo_entry(g):
+    """`memo_key(g)` and the graph that key spells, g with its vertices
+    relabelled by `bfs_order` and its edges sorted.  The trace recursion
+    splits that graph, so a node's children follow from its key alone."""
+    return memo_key(g), g._memo_graph
 
 
 MAX_PARSED_VERTICES = 10**6

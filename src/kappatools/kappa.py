@@ -48,13 +48,14 @@ frontier sum or subset DP, so its value is a second count.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import factorial, prod
 from operator import lshift
 
 from .errors import CapExceededError, GraphInputError
-from .graphs import memo_key
+from .graphs import memo_entry
 
 TRACE_NODE_CAP = 10_000
 
@@ -89,13 +90,7 @@ class TraceNode:
     children: tuple
 
     def to_json(self):
-        return {
-            "key": self.key,
-            "rule": self.rule,
-            "edge": None if self.edge is None else list(self.edge),
-            "value": self.value,
-            "children": list(self.children),
-        }
+        return {**vars(self), "edge": self.edge and list(self.edge), "children": [*self.children]}
 
 
 @dataclass
@@ -434,15 +429,13 @@ def _solve(g, x, stats):
 
 def _trace(g, nodes, stats):
     """The key of g's node, once it and all below it are in `nodes`, a
-    dict from key to TraceNode in the order first met.
-
-    The node splits h = g's `Multigraph._memo_graph` by `_blocks`: with no
-    block h is a base case worth 1; if h is its own one block, simple and
-    2-connected, h splits at its least edge e into h - e and h/e, whose
-    values add; otherwise its blocks are its children, whose values
-    multiply.  Each level nests one Python frame, about n on C_n.
+    dict from key to TraceNode in the order first met.  The node splits
+    h, the graph its key spells, by `_blocks`: with no block h is a base
+    case worth 1; if h is its own one block, simple and 2-connected, h
+    splits at its least edge e into h - e and h/e, whose values add;
+    otherwise its blocks are its children, whose values multiply.
     """
-    key = memo_key(g)
+    key, h = memo_entry(g)
     if key in nodes:
         stats.hits += 1
         return key
@@ -450,17 +443,14 @@ def _trace(g, nodes, stats):
         raise CapExceededError("trace", len(nodes) + 1, TRACE_NODE_CAP, unit="nodes")
     stats.misses += 1
     nodes[key] = None  # holds the node's place before its children's
-    h = g._memo_graph
     _, blocks = _blocks(h)
-    if not blocks:
-        rule, edge, parts = "base", None, ()
-    elif blocks[0] is h:
-        rule, edge, parts = "recursion", h.edges[0], (h.delete_edge(0), h.contract_edge(0))
-    else:
-        rule, edge, parts = "blocks", None, blocks
+    rule, edge, parts = "blocks" if blocks else "base", None, blocks[::-1]
+    if blocks and blocks[0] is h:
+        rule, edge, parts = "recursion", h.edges[0], [h.contract_edge(0), h.delete_edge(0)]
+    del g, h, blocks  # parts, reversed, go as they are traced: a waiting frame holds no more
     children = []
-    for c in parts:  # a loop, not a comprehension: one frame per level
-        children.append(_trace(c, nodes, stats))
+    while parts:  # a loop, not a comprehension: one frame per level
+        children.append(_trace(parts.pop(), nodes, stats))
     values = [nodes[k].value for k in children]
     value = sum(values) if rule == "recursion" else prod(values)
     nodes[key] = TraceNode(key, rule, edge, value, tuple(children))
@@ -486,14 +476,24 @@ def kappa(g):
 
 
 def kappa_with_trace(g):
-    """Like kappa, but by the memoised recursion `_trace`: `trace` holds
-    every distinct node once, the root first, and `cache_stats` counts
-    the memo's misses (the nodes) and hits.  Past TRACE_NODE_CAP nodes it
-    raises CapExceededError, and nested past the interpreter's recursion
-    limit (a 1,200-cycle) RecursionError.
-    """
+    """Like kappa, but by the memoised recursion `_trace` on g less its
+    edgeless vertices: `trace` holds each distinct node once, the root
+    first, and `cache_stats` counts the memo's misses (the nodes) and hits.
+    A level takes an edge off a block (a blocks node only where it lost
+    two), so the recursion nests no deeper than simplify(g)'s largest
+    block has edges.  A larger block than the frames left under the
+    recursion limit allow (a 1,200-cycle) raises CapExceededError before
+    the first node, as does the node past TRACE_NODE_CAP."""
     if g.has_loops:
         raise GraphInputError("graph has loops; loops admit no acyclic orientation")
+    if 0 in g.degrees:
+        g = g.drop_isolated()
+    frame, room = sys._getframe(), sys.getrecursionlimit() - 50  # 50 for calls below a node
+    while frame is not None:
+        frame, room = frame.f_back, room - 1
+    depth = max((len({g.edges[e] for e in b}) for b in g.blocks), default=0)
+    if depth > room:
+        raise CapExceededError("trace's largest block", depth, room)
     nodes = {}
     stats = CacheStats()
     root = _trace(g, nodes, stats)

@@ -698,20 +698,24 @@ def nu_path(o, p):
     return nu_bits(o.bits, *p.edge_masks(o.graph))
 
 
-def nu_per_class(g, spec, cap=None):
-    """ν of the closed path `spec` on each click class of simplify(g): one
-    (representative, ν) pair per class, in class order, each
-    representative a mask of simplify(g).
+def nu_values(g, spec, cap=None):
+    """ν along the path `spec`, as (mask, ν) pairs.  On an open path there
+    is one pair per acyclic orientation of g, in `acyclic_masks` order.  ν
+    is a class invariant only on a closed path, which gets one pair per
+    click class of simplify(g), in class order, the mask the class
+    representative on simplify(g).
 
-    Edge ids name the input's edge lines, so a path that gives them is
-    checked on g before the partition runs, and read there: each
-    representative lifts to g, every parallel copy taking the bit of the
-    copy simplify kept, since an acyclic orientation directs parallel
+    On a closed path, edge ids name the input's edge lines, so a path that
+    gives them is checked on g before the partition runs, and read there:
+    each representative lifts to g, every parallel copy taking the bit of
+    the copy simplify kept, since an acyclic orientation directs parallel
     copies alike.  Without edge ids the vertices alone fix every step on
     simplify(g).
     """
     if not spec.closed:
-        raise GraphInputError("ν is a class invariant only on a closed path")
+        masks = acyclic_masks(g, cap)
+        up, down = spec.edge_masks(g)
+        return [(bits, nu_bits(bits, up, down)) for bits in masks]
     if spec.edge_choice is not None:
         up, down = spec.edge_masks(g)
     part = kappa_partition_bruteforce(g, cap)

@@ -625,6 +625,20 @@ def test_too_deep_recursion_is_exit_3(capsys, tmp_path):
     assert err.startswith("error: recursion too deep")
 
 
+@pytest.mark.parametrize("n", [1200, 20000])
+def test_trace_of_a_block_too_large_for_the_recursion_limit_is_exit_3_at_once(
+    capsys, tmp_path, n
+):
+    cycle = tmp_path / f"c{n}.txt"
+    cycle.write_text(cycle_graph(n).to_edge_list_text())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kappa", str(cycle), "--trace")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: trace's largest block has {n} edges, exceeding the cap of")
+
+
 def test_trace_over_the_node_cap_is_exit_3(capsys, tmp_path):
     # grid 6x6 passes 10,000 distinct nodes after about a second
     cols = 6

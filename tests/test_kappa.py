@@ -3,8 +3,10 @@ memoised deletion/contraction recursion of `kappa_with_trace` against
 both, node by node."""
 
 import functools
+import importlib
 import math
 import random
+import time
 
 import pytest
 
@@ -16,8 +18,8 @@ from kappatools.corpus import (
     random_connected_graph,
     random_forest,
 )
-from kappatools.errors import GraphInputError
-from kappatools.graphs import Multigraph, memo_key
+from kappatools.errors import CapExceededError, GraphInputError
+from kappatools.graphs import Multigraph, memo_entry, memo_key
 from kappatools.kappa import CacheStats, kappa, kappa_with_trace
 from kappatools.orientations import kappa_partition_bruteforce
 from kappatools.tutte import tutte_eval, tutte_polynomial
@@ -285,7 +287,7 @@ def test_every_node_is_worth_kappa_of_the_graph_its_key_spells(g):
     assert result.trace[0].key == memo_key(g)
     for node in result.trace:
         h = spelled(node.key)
-        assert memo_key(h) == node.key
+        assert memo_entry(h) == (node.key, h)
         assert node.value == kappa(h).value, node.key
         values = [nodes[k].value for k in node.children]
         if node.rule == "recursion":
@@ -301,6 +303,48 @@ def test_recursion_nests_one_frame_per_level():
     # C500 nests about 500 levels, inside the default recursion limit
     result = kappa_with_trace(cycle_graph(500))
     assert (result.value, len(result.trace)) == (499, 997)
+
+
+@pytest.mark.parametrize("n", [1200, 20000])
+def test_a_block_too_large_for_the_recursion_limit_is_refused_at_once(n):
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"largest block has {n} edges"):
+        kappa_with_trace(cycle_graph(n))
+    assert time.perf_counter() - start < 1
+
+
+def test_the_recursion_nests_no_deeper_than_the_largest_block_has_edges(
+    small_corpus, monkeypatch
+):
+    module = importlib.import_module("kappatools.kappa")
+    trace, level = module._trace, [0, 0]
+
+    def nested(g, nodes, stats):
+        level[0] += 1
+        level[1] = max(level)
+        try:
+            return trace(g, nodes, stats)
+        finally:
+            level[0] -= 1
+
+    monkeypatch.setattr(module, "_trace", nested)
+    rng = random.Random(5)
+    graphs = list(small_corpus) + [grid(3, 4), PETERSEN, complete_graph(6)]
+    graphs += [random_connected_graph(rng, 12, 7) for _ in range(40)]
+    # parallel copies: a contraction's copies do not deepen the recursion
+    graphs += [Multigraph(g.n_vertices, g.edges + g.edges[::2]) for g in graphs[-40:]]
+    for g in graphs:
+        level[1] = 0
+        kappa_with_trace(g)
+        largest = max((len({g.edges[e] for e in b}) for b in g.blocks), default=0)
+        assert level[1] <= max(largest, 1), g
+
+
+def test_edgeless_vertices_are_dropped_before_the_root_is_keyed():
+    triangle = cycle_graph(3)
+    result = kappa_with_trace(Multigraph(1000, triangle.edges))
+    assert result.trace == kappa_with_trace(triangle).trace
+    assert result.trace[0].key == memo_key(triangle)
 
 
 def test_recursion_rejects_loops():

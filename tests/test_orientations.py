@@ -50,7 +50,7 @@ from kappatools.orientations import (
     normalize_to_unique_source,
     nu_bits,
     nu_path,
-    nu_per_class,
+    nu_values,
     orientation_from_permutation,
     topological_order,
     unique_source_orientations,
@@ -698,12 +698,12 @@ PARALLELS = Multigraph(3, ((0, 1), (0, 1), (1, 2), (0, 2), (1, 2)))
         PathSpec((0, 1), closed=True, edge_choice=(0, 1)),
     ],
 )
-def test_nu_per_class_lifts_each_representative_onto_the_parallel_copies(spec):
+def test_nu_values_lift_each_representative_onto_the_parallel_copies(spec):
     # oracle: a path with edge ids is read on the input, where each
     # representative's topological order directs every edge line, parallel
     # copies alike; a path of vertices alone is read on simplify(g)
     part = kappa_partition_bruteforce(PARALLELS)
-    got = nu_per_class(PARALLELS, spec)
+    got = nu_values(PARALLELS, spec)
     assert [rep for rep, _ in got] == [cls[0] for cls in part.classes]
     for rep, nu in got:
         o = Orientation(part.graph, rep)
@@ -715,17 +715,23 @@ def test_nu_per_class_lifts_each_representative_onto_the_parallel_copies(spec):
         assert {nu for _, nu in got} == {0}
 
 
-def test_nu_per_class_needs_a_closed_path():
-    with pytest.raises(GraphInputError, match="closed path"):
-        nu_per_class(PARALLELS, PathSpec((0, 1, 2), edge_choice=(0, 4)))
+def test_nu_values_on_an_open_path_are_per_orientation_of_the_input():
+    spec = PathSpec((2, 0, 1), edge_choice=(3, 1))
+    got = nu_values(PARALLELS, spec)
+    assert tuple(bits for bits, _ in got) == acyclic_masks(PARALLELS)
+    for bits, nu in got:
+        assert nu == nu_path(Orientation(PARALLELS, bits), spec)
+    # the cap is checked before the path
+    with pytest.raises(CapExceededError):
+        nu_values(PARALLELS, PathSpec((0, 1, 2), edge_choice=(2, 4)), cap=1)
 
 
-def test_nu_per_class_checks_the_edge_ids_before_the_cap():
+def test_nu_values_on_a_closed_path_check_the_edge_ids_before_the_cap():
     # an edge id that joins the wrong pair is reported, not the cap
     with pytest.raises(GraphInputError, match="edge 2 does not join 0 and 1"):
-        nu_per_class(PARALLELS, PathSpec((0, 1, 2), closed=True, edge_choice=(2, 4, 3)), cap=1)
+        nu_values(PARALLELS, PathSpec((0, 1, 2), closed=True, edge_choice=(2, 4, 3)), cap=1)
     with pytest.raises(CapExceededError):
-        nu_per_class(PARALLELS, PathSpec((0, 1, 2), closed=True, edge_choice=(0, 4, 3)), cap=1)
+        nu_values(PARALLELS, PathSpec((0, 1, 2), closed=True, edge_choice=(0, 4, 3)), cap=1)
 
 
 @pytest.mark.parametrize("edge_choice", [None, tuple(range(20_000))], ids=["vertices", "edge-ids"])
