@@ -10,7 +10,9 @@ renumber the edges of their input.
 and bridges.  Edge classification, the bridgeless core and the y = 0
 engine's split (`kappa._blocks`) all read it, and that split's
 relabelled block graphs are built once per graph as
-`Multigraph.block_graphs`.  `Multigraph.walk_order` is the one edge
+`Multigraph.block_graphs`; the engine keeps each sparse block's line
+T(x, 0) on its block graph (`kappa._line`), so it too lives and dies
+with the graph.  `Multigraph.walk_order` is the one edge
 order of the frontier walk, built from `bfs_order` once per graph;
 `kappa.frontier_sum` and the acyclic-mask walk's split
 (`orientations._walk_plan`) both read it.  `memo_key` orders its own
@@ -102,6 +104,12 @@ class Multigraph:
     @cached_property
     def has_loops(self):
         return any(a == b for a, b in self.edges)
+
+    @cached_property
+    def _has_parallels(self):
+        """Whether two edges join the same pair of vertices (two loops at
+        one vertex count)."""
+        return len(set(self.edges)) < self.m
 
     @cached_property
     def degrees(self):

@@ -20,7 +20,9 @@ at y=0 do not build the polynomial: they run the one y=0 engine of
 `kappatools.kappa`, which splits the graph into blocks and answers
 sparse blocks with the same frontier walk and dense ones by a DP over
 vertex subsets, one forward pass by falling subset size, that counts
-partitions into independent sets.  So
+partitions into independent sets.  A sparse block's walk there runs at
+x = 2^k and packs its whole line T(x, 0) the same way, read back by the
+same `kappa._unpack` as this polynomial.  So
 this polynomial and that engine share code, and the checks independent
 of both are brute force (`orientations`), the subset-expansion oracle
 below and the closed forms of the tests.  The oracle shares no step
@@ -32,13 +34,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb, prod
 from types import MappingProxyType
 
 from .errors import CapExceededError, GraphInputError, InternalInvariantError
 from .graphs import Multigraph, UnionFind
-from .kappa import CacheStats, _solve, frontier_sum
+from .kappa import CacheStats, _solve, _unpack, frontier_sum
 
 DEFAULT_TUTTE_CAP = 30
 DEFAULT_ORACLE_CAP = 16
@@ -143,20 +144,14 @@ def tutte_polynomial(g, cap=None):
     y1 = (1 << 8 * size) - 1
     total = frontier_sum(loop_free, y1, ((1 << 8 * size * width) - 1) * y1)
     packed, rest = divmod(total, y1**rank)
-    length = (rank + 1) * width * size
-    if rest or not 0 < packed < 1 << 8 * length:
+    if rest:
         raise InternalInvariantError(
             f"the frontier sum at y = 2^{8 * size} is not (y-1)^{rank} times"
             " a packed polynomial"
         )
-    data = packed.to_bytes(length, "little")
-    fields = [data[i : i + size] for i in range(0, length, size)]
+    fields = _unpack(packed, (rank + 1) * width, size)
     return TuttePolynomial(
-        {
-            (f // width, f % width + loops): c
-            for f, c in enumerate(map(int.from_bytes, fields, repeat("little")))
-            if c
-        }
+        {(f // width, f % width + loops): c for f, c in enumerate(fields) if c}
     )
 
 
@@ -179,9 +174,15 @@ def tutte_eval(g, x, y, cap=None):
     At y=0 the engine of `kappatools.kappa` runs: a loop makes the value
     0, parallel classes collapse, the graph splits into blocks, bridges
     factor out as powers of x, cycle blocks are summed in closed form,
-    sparse blocks go to the frontier sum and dense ones to the subset DP.
-    None of it recurses in Python, so no graph raises RecursionError
-    here, and no edge cap applies.  Other points evaluate the full
+    and dense ones go to the subset DP.  A sparse block is evaluated by
+    Horner's rule from its line T(x, 0), whose coefficients one frontier
+    walk packs at x = 2^k and the block graph keeps (g itself when g is
+    one simple block, else `Multigraph.block_graphs`), so after `kappa(g)`
+    no x walks it again.  Past `kappa.LINE_BITS` (n - 1 times k bits) a
+    sparse block walks at x itself on every call; the module docstring of
+    `kappatools.kappa` has the table that sets that bound.  None of it
+    recurses in Python, so no graph raises RecursionError here, and no
+    edge cap applies.  Other points evaluate the full
     polynomial of the frontier sum, which keeps `tutte_polynomial`'s cap.
     A walk whose frontier would pass `kappa.FRONTIER_CAP` vertices raises
     CapExceededError.

@@ -1,5 +1,6 @@
 """The split into blocks (`Multigraph.blocks` and the y=0 engine's
-`_blocks`) and the frontier walk on long, wide and relabelled inputs.
+`_blocks`), the line T(x, 0) that a sparse block keeps (`_line`), and the
+frontier walk on long, wide and relabelled inputs.
 
 `_blocks` is checked against the subset-expansion oracle, and
 `Multigraph.blocks` against edge and vertex deletions counted by
@@ -8,7 +9,8 @@ the depth-first pass.  The input that `_blocks` returns as its own block
 is checked against the relabelled block it stands for.  The walk is
 checked under many labellings, since a retire hands a block's label to
 its next slot only when the block's first frontier slot leaves before
-its later ones.
+its later ones.  The line is checked against the walk at each point,
+which reads no field.
 """
 
 import importlib
@@ -21,7 +23,16 @@ from kappatools.cli import main
 from kappatools.corpus import complete_graph, cycle_graph, random_multigraph
 from kappatools.errors import CapExceededError
 from kappatools.graphs import Multigraph, UnionFind, bfs_order
-from kappatools.kappa import FRONTIER_CAP, _blocks, _retire, kappa
+from kappatools.kappa import (
+    DENSE_SHARE,
+    FRONTIER_CAP,
+    CacheStats,
+    _blocks,
+    _line,
+    _retire,
+    _solve,
+    kappa,
+)
 from kappatools.tutte import tutte_eval, tutte_oracle_rank_nullity, tutte_polynomial
 
 # the package re-exports the function `kappa` under the module's name
@@ -341,6 +352,138 @@ def test_long_and_wide_inputs_stay_linear(g, value):
     start = time.perf_counter()
     assert kappa(g).value == value
     assert time.perf_counter() - start < 2
+
+
+def point_solve(g, x):
+    """T(g; x, 0) as `_solve` gives it, but with each sparse block walked
+    at x itself, so that no field is read."""
+    bridges, blocks = _blocks(g)
+    value = x**bridges
+    for c in blocks:
+        n = c.n_vertices
+        if c.m != n and 2 * c.m < DENSE_SHARE * n * (n - 1):
+            value *= (-1) ** (n + 1) * KAPPA_MODULE.frontier_sum(c, -1, 1 - x)
+        else:
+            value *= _solve(c, x, CacheStats())
+    return value
+
+
+def test_the_line_agrees_with_the_walk_at_each_point(small_corpus):
+    rng = random.Random(83)
+    seeded = [random_multigraph(rng, 11, 18, allow_loops=False) for _ in range(3000)]
+    assert any(g.m != g.simplify().m for g in seeded)
+    assert any(0 in g.degrees for g in seeded)
+    assert any(g.blocks and min(map(len, g.blocks)) == 1 for g in seeded)
+    shapes = [grid(4, 4), grid(3, 7), wheel(12), wheel(20), PETERSEN]
+    seeded += [scrambled(g, rng) for g in shapes for _ in range(10)]
+    lines = 0
+    for g in small_corpus + seeded:
+        for x in range(-3, 6):
+            assert _solve(g, x, CacheStats()) == point_solve(g, x), (g, x)
+        for c in _blocks(g)[1]:
+            n = c.n_vertices
+            if c.m != n and 2 * c.m < DENSE_SHARE * n * (n - 1):
+                assert _line(c) is not None, c
+                lines += 1
+    assert lines > 250
+
+
+def fresh(g):
+    """An equal graph that has cached nothing, so keeps no line."""
+    return Multigraph(g.n_vertices, g.edges)
+
+
+WALKED_ONCE = [
+    ("W14", wheel(14), 1),
+    ("petersen", PETERSEN, 1),
+    ("grid5x5", grid(5, 5), 1),
+    ("W10-bridge-W10", two_wheels_and_a_bridge(), 2),
+]
+
+
+@pytest.mark.parametrize("name, g, walks", WALKED_ONCE, ids=[name for name, _, _ in WALKED_ONCE])
+def test_each_sparse_block_is_walked_once(monkeypatch, name, g, walks):
+    """`kappa`, then `tutte_eval` at (2, 0) and (3, 0), walk each sparse
+    block once; an equal graph is another graph, and walks again."""
+    rng = random.Random(f"walked-once:{name}")
+    graphs = [fresh(g), scrambled(g, rng), scrambled(g, rng)]
+    expected = [[point_solve(fresh(h), x) for x in (1, 2, 3)] for h in graphs]
+    calls = []
+    walk = KAPPA_MODULE.frontier_sum
+
+    def counted(c, take, close):
+        calls.append(c)
+        return walk(c, take, close)
+
+    monkeypatch.setattr(KAPPA_MODULE, "frontier_sum", counted)
+    for h, values in zip(graphs, expected):
+        calls.clear()
+        assert [kappa(h).value, tutte_eval(h, 2, 0), tutte_eval(h, 3, 0)] == values, h
+        assert len(calls) == len(set(map(id, calls))) == walks, h
+        assert kappa(fresh(h)).value == values[0]
+        assert len(calls) == 2 * walks, h
+
+
+def grid3_values(cols):
+    """(T(1, 0), T(2, 0)) of the 3 x cols grid from its chromatic
+    polynomial chi, by a transfer matrix over its columns, which share no
+    step with the walk.  A column is coloured a b a (type 0) or a b c
+    (type 1), in q(q - 1) and q(q - 1)(q - 2) ways, and M[s][t] counts the
+    colourings of type t beside a column of type s:
+    M = [[q^2 - 3q + 3, q^3 - 6q^2 + 13q - 10], [q^2 - 4q + 5, q^3 - 6q^2 + 14q - 13]].
+    With n = 3 cols vertices, T(2, 0) = (-1)^n chi(-1) and
+    T(1, 0) = (-1)^(n-1) chi'(0); chi'(0) is read at q = e with e^2 = 0,
+    each entry p taken as the pair (p(0), p'(0))."""
+
+    def chi(first, step, mul, add):
+        row = first
+        for _ in range(cols - 1):
+            row = [add(mul(row[0], step[0][t]), mul(row[1], step[1][t])) for t in (0, 1)]
+        return add(*row)
+
+    def dual_mul(a, b):
+        return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+
+    def dual_add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    _, slope = chi([(0, -1), (0, 2)], [[(3, -3), (-10, 13)], [(5, -4), (-13, 14)]], dual_mul, dual_add)
+    at = chi([2, -6], [[7, -30], [10, -34]], int.__mul__, int.__add__)
+    sign = (-1) ** (3 * cols)
+    return -sign * slope, sign * at
+
+
+def test_the_grid_transfer_matrix_matches_the_engine():
+    for cols in range(1, 9):
+        g = grid(3, cols)
+        assert grid3_values(cols) == (kappa(g).value, tutte_eval(g, 2, 0)), cols
+
+
+# the ladder's chromatic polynomial is q (q - 1) (q^2 - 3q + 3)^(n - 1), so
+# T(1, 0) = 3^(n - 1) and T(2, 0) = 2 * 7^(n - 1)
+LONG_BLOCKS = [
+    ("ladder2x2000", grid(2, 2000), (3**1999, 2 * 7**1999)),
+    ("grid3x300", grid(3, 300), grid3_values(300)),
+]
+
+
+@pytest.mark.parametrize("name, g, values", LONG_BLOCKS, ids=[name for name, _, _ in LONG_BLOCKS])
+def test_a_block_past_the_line_bound_walks_at_each_point(monkeypatch, name, g, values):
+    # a packed line would take (n - 1) k = 24.0 Mbit on the ladder and
+    # 1.35 Mbit on the grid, where one walk at x = 2^k costs seconds
+    closes = []
+    walk = KAPPA_MODULE.frontier_sum
+
+    def counted(c, take, close):
+        closes.append(close)
+        return walk(c, take, close)
+
+    monkeypatch.setattr(KAPPA_MODULE, "frontier_sum", counted)
+    h = fresh(g)
+    start = time.perf_counter()
+    assert (kappa(h).value, tutte_eval(h, 2, 0)) == values
+    assert time.perf_counter() - start < 2
+    assert closes == [0, -1] and _line(h) is None
 
 
 def canonical_partitions(length):
