@@ -10,9 +10,8 @@ renumber the edges of their input.
 and bridges.  Edge classification, the bridgeless core and the y = 0
 engine's split (`kappa._blocks`) all read it, and that split's
 relabelled block graphs are built once per graph as
-`Multigraph.block_graphs`; the engine keeps each sparse block's line
-T(x, 0) on its block graph (`kappa._line`), so it too lives and dies
-with the graph.  `Multigraph.walk_order` is the one edge
+`Multigraph.block_graphs`, which the engine may keep its own results on
+(`kappa` says what).  `Multigraph.walk_order` is the one edge
 order of the frontier walk, built from `bfs_order` once per graph;
 `kappa.frontier_sum` and the acyclic-mask walk's split
 (`orientations._walk_plan`) both read it.  `memo_key` orders its own

@@ -11,16 +11,19 @@ stands, so `kappa(g)` and `tutte_eval(g, x, 0)` build no graph and reuse
 the blocks and degrees that g caches; a graph of several blocks gets one
 relabelled graph per block, which it keeps as `Multigraph.block_graphs`,
 so the second of those calls builds none.  A block that is a cycle C_m
-is answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).  A
-sparse block, one with fewer than DENSE_SHARE of all vertex pairs as
-edges, is answered from its line: `_line` reads every coefficient of
-T(x, 0) off one `frontier_sum` walk at x = 2^k (a Kronecker substitution,
-Harvey, J. Symbolic Comput. 2009) and keeps the list on the block graph,
-on g itself when g is taken in place and on its `block_graphs` pieces
-otherwise.  So `kappa(g)` followed by `tutte_eval(g, x, 0)` at any x walks
-each sparse block once; the list lives and dies with its graph, and an
-equal graph built anew walks again.  A dense block runs
-`_partition_counts` on every call.
+is answered in closed form, x + x^2 + ... + x^(m-1) (m - 1 at x = 1).
+Every other block is answered from its line, the coefficients of
+T(x, 0), which `_line` computes once and keeps on the block graph: on g
+itself when g is taken in place and on its `block_graphs` pieces
+otherwise.  A sparse block, one with fewer than DENSE_SHARE of all
+vertex pairs as edges, reads every coefficient off one `frontier_sum`
+walk at x = 2^k (a Kronecker substitution, Harvey, J. Symbolic Comput.
+2009); a dense block turns the counts of `_partition_counts` into
+coefficients.  So `kappa(g)` followed by `tutte_eval(g, x, 0)` at any x
+walks each sparse block once and runs the subset DP once per dense
+block; the list lives and dies with its graph, and an equal graph built
+anew computes it again.  DENSE_SHARE decides only how a line is
+computed.
 
 The packed walk's weights run to (n - 1) k bits on a block of n vertices,
 so its cost grows like the square of the rank, while a walk at one point
@@ -61,7 +64,8 @@ partitions of the n vertices into k independent sets, gives the chromatic
 polynomial sum_k p_k L(L-1)...(L-k+1), and with Tutte's
 chi(L) = (-1)^(n-1) L T(1-L, 0) for a connected graph,
 T(x, 0) = (-1)^(n-1) sum_k p_k prod_{i=1..k-1} (1 - x - i)
-(Greene and Zaslavsky, Trans. AMS 1983).  The p_k come from a DP over
+(Greene and Zaslavsky, Trans. AMS 1983), which `_line` expands into the
+coefficients of the line.  The p_k come from a DP over
 vertex subsets (Björklund, Husfeldt and Koivisto, SIAM J. Comput. 2009),
 run as one forward pass that takes the subsets by falling size; a dense
 piece has few independent sets, so the DP reaches few subsets.
@@ -453,27 +457,38 @@ def _unpack(packed, count, size):
     return list(map(int.from_bytes, fields, repeat("little")))
 
 
-def _line(c):
-    """[t_0, ..., t_(n-1)], the coefficients of T(c; x, 0) for a sparse
-    block c on n vertices, from one frontier walk, or None for a block
-    past LINE_BITS; either is kept on c, so that an evaluation at any
-    later x walks nothing.
+def _line(c, stats):
+    """[t_0, ..., t_(n-1)], the coefficients of T(c; x, 0) for a block c
+    on n vertices that is not a cycle, or None for a sparse block past
+    LINE_BITS; either is kept on c, so that an evaluation at any later x
+    runs no subset DP and walks nothing.  `stats` counts the subset DP,
+    which only the call that computes a dense block's line runs.
 
-    The walk runs at x = 2^k, where (-1)^(n+1) frontier_sum(c, -1, 1 - x)
-    = T(c; x, 0) holds each t_i in the k-bit field i.  Every t_i is
-    nonnegative and at most T(c; 1, 0), which is at most 2^m and at most
-    the product of the degrees (`tutte.tutte_polynomial` bounds its
-    coefficients the same way), so k is the bit length of the smaller
-    bound, rounded up to whole bytes.  The walk's weights then run to
-    about (n - 1) k bits; past LINE_BITS their arithmetic costs more
-    than a walk at one point, whose weights stay small.
+    A dense block turns the p_k of `_partition_counts` into the line by
+    T(c; x, 0) = (-1)^(n+1) sum_k p_k prod_{i<k} (1 - x - i), each product
+    a list of coefficients.  A sparse block walks once at x = 2^k, where
+    (-1)^(n+1) frontier_sum(c, -1, 1 - x) = T(c; x, 0) holds each t_i in
+    the k-bit field i.  Every t_i is nonnegative and at most T(c; 1, 0),
+    which is at most 2^m and at most the product of the degrees
+    (`tutte.tutte_polynomial` bounds its coefficients the same way), so k
+    is the bit length of the smaller bound, rounded up to whole bytes.
+    The walk's weights then run to about (n - 1) k bits; past LINE_BITS
+    their arithmetic costs more than a walk at one point, whose weights
+    stay small.
     """
     kept = vars(c)
     if "y0_line" not in kept:
         n = c.n_vertices
         line = None
+        if 2 * c.m >= DENSE_SHARE * n * (n - 1):
+            # factor holds (-1)^(n+1) prod_{i<k} (1 - x - i), the sign first
+            line, factor = [0] * n, [(-1) ** (n + 1)]
+            for k, count in enumerate(_partition_counts(c, stats)[1:], 1):
+                for i, a in enumerate(factor):
+                    line[i] += count * a
+                factor = [(1 - k) * a - b for a, b in zip(factor + [0], [0] + factor)]
         # a field takes a byte at least, so a longer block skips the product
-        if (n - 1) * 8 <= LINE_BITS:
+        elif (n - 1) * 8 <= LINE_BITS:
             size = (min(1 << c.m, prod(c.degrees)).bit_length() + 7) // 8
             if (n - 1) * 8 * size <= LINE_BITS:
                 packed = frontier_sum(c, -1, 1 - (1 << 8 * size))
@@ -483,14 +498,16 @@ def _line(c):
 
 
 def _solve(g, x, stats):
-    """T(g; x, 0) of a loop-free multigraph; `stats` counts the subset DP.
+    """T(g; x, 0) of a loop-free multigraph; `stats` counts the subset DP
+    that this call runs.
 
-    A sparse block evaluates the line that `_line` keeps on it by
-    Horner's rule (at x = 1, its sum), so only the first call on g walks
-    it: on g itself when g is taken in place, otherwise on the pieces
-    that g keeps as `Multigraph.block_graphs`.  A sparse block past
-    LINE_BITS walks at x on every call (see the table in the module
-    docstring), and a dense one runs the subset DP on every call.
+    A cycle block is answered in closed form.  Any other block evaluates
+    the line that `_line` keeps on it by Horner's rule (at x = 1, its
+    sum), so only the first call on g runs its subset DP or its walk: on
+    g itself when g is taken in place, otherwise on the pieces that g
+    keeps as `Multigraph.block_graphs`.  A sparse block past LINE_BITS
+    keeps no line and walks at x on every call (see the table in the
+    module docstring).
     """
     bridges, blocks = _blocks(g)
     value = x**bridges
@@ -499,23 +516,16 @@ def _solve(g, x, stats):
         if c.m == n:
             value *= _cycle_value(n, x)
             continue
-        if 2 * c.m < DENSE_SHARE * n * (n - 1):
-            line = _line(c)
-            if line is not None:
-                piece = 0
-                for t in reversed(line):
-                    piece = piece * x + t
-                value *= piece
-                continue
+        line = _line(c, stats)
+        if line is None:
             # T(c; x, 0) = (-1)^(n+1) sum over A of (-1)^|A| (1-x)^(c(A)-1)
             piece = frontier_sum(c, -1, 1 - x)
-        else:
-            # T(c; x, 0) = (-1)^(n+1) sum over k of p_k prod_{i<k} (1-x-i)
-            piece, factor = 0, 1
-            for k, count in enumerate(_partition_counts(c, stats)[1:], 1):
-                piece += count * factor
-                factor *= 1 - x - k
-        value *= piece if n % 2 else -piece
+            value *= piece if n % 2 else -piece
+            continue
+        piece = 0
+        for t in reversed(line):
+            piece = piece * x + t
+        value *= piece
     return value
 
 
@@ -553,11 +563,13 @@ def kappa(g):
     """Number of click-equivalence classes of acyclic orientations of g.
 
     Parallel edges are fine (they collapse); loops are rejected.  Dense
-    blocks go to the subset DP, one forward pass per block; the subsets it
-    reached the first time (misses) and again (hits), summed over the
-    blocks of this call, are returned as `cache_stats`.  Cycle blocks
-    (closed form) and sparse blocks (the frontier sum) never reach the DP,
-    so they count as neither hits nor misses.  Nothing here recurses in
+    blocks go to the subset DP, one forward pass per block graph, which
+    then keeps its line; the subsets that this call's passes reached the
+    first time (misses) and again (hits) are returned as `cache_stats`.
+    Cycle blocks (closed form), sparse blocks (the frontier sum) and dense
+    blocks whose line an earlier call on g computed run no DP here, so
+    they count as neither: a second call on g returns CacheStats(0, 0),
+    and an equal graph built anew counts again.  Nothing here recurses in
     Python, so no graph raises RecursionError; a sparse block whose
     frontier would pass FRONTIER_CAP vertices raises CapExceededError.
     """

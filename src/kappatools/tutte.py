@@ -173,16 +173,17 @@ def tutte_eval(g, x, y, cap=None):
 
     At y=0 the engine of `kappatools.kappa` runs: a loop makes the value
     0, parallel classes collapse, the graph splits into blocks, bridges
-    factor out as powers of x, cycle blocks are summed in closed form,
-    and dense ones go to the subset DP.  A sparse block is evaluated by
-    Horner's rule from its line T(x, 0), whose coefficients one frontier
-    walk packs at x = 2^k and the block graph keeps (g itself when g is
-    one simple block, else `Multigraph.block_graphs`), so after `kappa(g)`
-    no x walks it again.  Past `kappa.LINE_BITS` (n - 1 times k bits) a
-    sparse block walks at x itself on every call; the module docstring of
-    `kappatools.kappa` has the table that sets that bound.  None of it
-    recurses in Python, so no graph raises RecursionError here, and no
-    edge cap applies.  Other points evaluate the full
+    factor out as powers of x, and cycle blocks are summed in closed form.
+    Every other block is evaluated by Horner's rule from its line
+    T(x, 0), which the block graph keeps (g itself when g is one simple
+    block, else `Multigraph.block_graphs`): one frontier walk packs its
+    coefficients at x = 2^k on a sparse block, and the subset DP's
+    counts give them on a dense one, so after `kappa(g)` no x walks a
+    block or runs the DP again.  Past `kappa.LINE_BITS` (n - 1 times k
+    bits) a sparse block walks at x itself on every call; the module
+    docstring of `kappatools.kappa` has the table that sets that bound.
+    None of it recurses in Python, so no graph raises RecursionError
+    here, and no edge cap applies.  Other points evaluate the full
     polynomial of the frontier sum, which keeps `tutte_polynomial`'s cap.
     A walk whose frontier would pass `kappa.FRONTIER_CAP` vertices raises
     CapExceededError.

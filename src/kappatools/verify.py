@@ -6,7 +6,7 @@ values and an `ok` flag:
 - `kappa_triple`: the class count by brute force, by the paper's
   deletion/contraction recursion (`kappa.kappa_with_trace`, memoised), by
   the y = 0 engine (`kappa.kappa`, reported as `"engine"`) and as T(1, 0)
-  of the full Tutte polynomial;
+  of the full Tutte polynomial of simplify(g);
 - `alpha`: the acyclic mask count by brute force and as T(2, 0);
 - `cut_equivalence`: the partition's classes against the closure of the
   click graph over the same masks;
@@ -21,6 +21,11 @@ polynomial share code: on sparse pieces both run `kappa.frontier_sum`, so
 `"engine"` and `"tutte_1_0"` can agree on a wrong value.  Brute force
 shares no code with the recursion or the engine, so it stays the leg of
 `kappa_triple` that is independent of the others.
+
+Brute force and the Tutte polynomial both read simplify(g), under the
+one edge cap `verify_graph` takes: parallel edges change no value on the
+line y = 0, so a multigraph whose simple graph fits the cap is checked
+whole.
 
 The partition checks its graph once, so the mask cores of `orientations`
 run here unchecked, on masks the library made.
@@ -66,7 +71,7 @@ def verify_graph(g, cap):
     k_brute = part.class_count
     k_recursion = kappa_with_trace(g).value
     k_engine = kappa(g).value
-    poly = tutte_polynomial(g)
+    poly = tutte_polynomial(part.graph, cap)
     k_tutte = poly.evaluate(1, 0)
     alpha_brute = sum(len(cls) for cls in part.classes)
     alpha_tutte = poly.evaluate(2, 0)

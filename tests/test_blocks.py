@@ -1,5 +1,5 @@
 """The split into blocks (`Multigraph.blocks` and the y=0 engine's
-`_blocks`), the line T(x, 0) that a sparse block keeps (`_line`), and the
+`_blocks`), the line T(x, 0) that a block keeps (`_line`), and the
 frontier walk on long, wide and relabelled inputs.
 
 `_blocks` is checked against the subset-expansion oracle, and
@@ -383,7 +383,7 @@ def test_the_line_agrees_with_the_walk_at_each_point(small_corpus):
         for c in _blocks(g)[1]:
             n = c.n_vertices
             if c.m != n and 2 * c.m < DENSE_SHARE * n * (n - 1):
-                assert _line(c) is not None, c
+                assert _line(c, CacheStats()) is not None, c
                 lines += 1
     assert lines > 250
 
@@ -401,27 +401,58 @@ WALKED_ONCE = [
 ]
 
 
-@pytest.mark.parametrize("name, g, walks", WALKED_ONCE, ids=[name for name, _, _ in WALKED_ONCE])
-def test_each_sparse_block_is_walked_once(monkeypatch, name, g, walks):
-    """`kappa`, then `tutte_eval` at (2, 0) and (3, 0), walk each sparse
-    block once; an equal graph is another graph, and walks again."""
-    rng = random.Random(f"walked-once:{name}")
+def assert_once_per_block(monkeypatch, g, rng, target, count):
+    """`kappa`, then `tutte_eval` at (2, 0) and (3, 0), on g and on two
+    scrambled copies call the kappa module's `target` `count` times, each
+    on a block graph of its own; an equal graph is another graph, and
+    calls it again."""
     graphs = [fresh(g), scrambled(g, rng), scrambled(g, rng)]
     expected = [[point_solve(fresh(h), x) for x in (1, 2, 3)] for h in graphs]
     calls = []
-    walk = KAPPA_MODULE.frontier_sum
+    run = getattr(KAPPA_MODULE, target)
 
-    def counted(c, take, close):
+    def counted(c, *args):
         calls.append(c)
-        return walk(c, take, close)
+        return run(c, *args)
 
-    monkeypatch.setattr(KAPPA_MODULE, "frontier_sum", counted)
+    monkeypatch.setattr(KAPPA_MODULE, target, counted)
     for h, values in zip(graphs, expected):
         calls.clear()
         assert [kappa(h).value, tutte_eval(h, 2, 0), tutte_eval(h, 3, 0)] == values, h
-        assert len(calls) == len(set(map(id, calls))) == walks, h
+        assert len(calls) == len(set(map(id, calls))) == count, h
         assert kappa(fresh(h)).value == values[0]
-        assert len(calls) == 2 * walks, h
+        assert len(calls) == 2 * count, h
+
+
+@pytest.mark.parametrize("name, g, walks", WALKED_ONCE, ids=[name for name, _, _ in WALKED_ONCE])
+def test_each_sparse_block_is_walked_once(monkeypatch, name, g, walks):
+    assert_once_per_block(monkeypatch, g, random.Random(f"walked-once:{name}"), "frontier_sum", walks)
+
+
+def gnp(n, p, seed):
+    """G(n, p): each pair, in lexicographic order, drawn from Random(seed)."""
+    rng = random.Random(seed)
+    return Multigraph(n, tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p))
+
+
+def dense_block_and_a_bridge():
+    """K6 and W10 joined by one edge: a dense block, a sparse one and a bridge."""
+    w = wheel(10)
+    return Multigraph(16, complete_graph(6).edges + tuple((a + 6, b + 6) for a, b in w.edges) + ((0, 7),))
+
+
+DP_ONCE = [
+    ("K8", complete_graph(8), 1),
+    # K_(2,2,2): every pair but the three antipodal ones
+    ("octahedron", Multigraph(6, tuple((a, b) for b in range(6) for a in range(b) if b - a != 3)), 1),
+    ("G(9,.7)", scrambled(gnp(9, 0.7, 1), random.Random("G(9,.7)")), 1),
+    ("K6-bridge-W10", dense_block_and_a_bridge(), 1),
+]
+
+
+@pytest.mark.parametrize("name, g, runs", DP_ONCE, ids=[name for name, _, _ in DP_ONCE])
+def test_each_dense_block_runs_the_dp_once(monkeypatch, name, g, runs):
+    assert_once_per_block(monkeypatch, g, random.Random(f"dp-once:{name}"), "_partition_counts", runs)
 
 
 def grid3_values(cols):
@@ -483,7 +514,7 @@ def test_a_block_past_the_line_bound_walks_at_each_point(monkeypatch, name, g, v
     start = time.perf_counter()
     assert (kappa(h).value, tutte_eval(h, 2, 0)) == values
     assert time.perf_counter() - start < 2
-    assert closes == [0, -1] and _line(h) is None
+    assert closes == [0, -1] and _line(h, CacheStats()) is None
 
 
 def canonical_partitions(length):

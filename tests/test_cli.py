@@ -212,6 +212,20 @@ def verify_checks(capsys, path):
     return code, json.loads(out)["graphs"][0]["checks"]
 
 
+@pytest.mark.parametrize("cap", [[], ["--cap", "50"]], ids=["default-cap", "cap-50"])
+def test_verify_reads_parallel_edges_as_one(capsys, tmp_path, cap):
+    # 40 parallel edges simplify to one: brute force and the Tutte legs
+    # read simplify(G), so the cap counts its one edge, and the report is
+    # the single edge's
+    path = tmp_path / "parallel.txt"
+    path.write_text("2 40\n" + "0 1\n" * 40)
+    code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json", *cap)
+    assert code == 0
+    checks = json.loads(out)["graphs"][0]["checks"]
+    assert checks["kappa_triple"] == {"bruteforce": 1, "recursion": 1, "engine": 1, "tutte_1_0": 1, "ok": True}
+    assert checks["alpha"] == {"bruteforce": 2, "tutte_2_0": 2, "ok": True}
+
+
 def test_verify_catches_a_class_count_one_too_high(capsys, monkeypatch, c5_file):
     engine = verify.kappa
 

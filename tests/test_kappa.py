@@ -131,16 +131,26 @@ def test_relabelling_gives_identical_values():
 
 
 def test_cache_stats_count_hits_and_each_call_starts_fresh():
+    """`cache_stats` counts the subset DP that this call ran.  A dense
+    block keeps its line, so a second call on the same graph runs no DP
+    and counts nothing, while an equal graph built anew counts the same
+    subsets again."""
     # The subset DP meets each subset of K5 once: {0..4}, {1..4}, ..., {4}.
+    k5 = complete_graph(5)
+    assert kappa(k5).cache_stats == CacheStats(hits=0, misses=5)
+    assert kappa(k5).cache_stats == CacheStats(0, 0)
     assert kappa(complete_graph(5)).cache_stats == CacheStats(hits=0, misses=5)
     # The octahedron's antipodal pairs are independent, so two sequences of
     # blocks can leave one rest: {0, 3}, {1}, {2} and {0}, {1}, {2}, {3}
     # both leave {4, 5}.
-    first = kappa(OCTAHEDRON)
-    again = kappa(OCTAHEDRON)
-    assert first.value == again.value == 64
+    first_graph, equal_graph = (Multigraph(6, OCTAHEDRON.edges) for _ in range(2))
+    first = kappa(first_graph)
+    again = kappa(first_graph)
+    equal = kappa(equal_graph)
+    assert first.value == again.value == equal.value == 64
     assert first.cache_stats.hits > 0
-    assert again.cache_stats == first.cache_stats
+    assert again.cache_stats == CacheStats(0, 0)
+    assert equal.cache_stats == first.cache_stats
 
 
 # ----- the memoised recursion -----

@@ -3,17 +3,22 @@ it: brute force, the memoised trace recursion, the full Tutte polynomial,
 the frontier sum and a plain enumeration of set partitions.
 
 The engine sends only dense pieces to the DP.  The `dp_only` fixture sets
-DENSE_SHARE to 0, so that every piece that is not a cycle goes there.
+DENSE_SHARE to 0, so that every piece that is not a cycle goes there.  A
+block keeps the line T(x, 0) its first call computed, so each check runs
+on a `fresh` graph, one that keeps no line from a call under another
+DENSE_SHARE.
 """
 
 import importlib
+import math
 import random
 import sys
 
 import pytest
 
 from kappatools.graphs import Multigraph
-from kappatools.kappa import CacheStats, _partition_counts, kappa, kappa_with_trace
+from kappatools.corpus import complete_graph
+from kappatools.kappa import CacheStats, _line, _partition_counts, _solve, kappa, kappa_with_trace
 from kappatools.orientations import kappa_partition_bruteforce
 from kappatools.tutte import tutte_eval, tutte_polynomial
 
@@ -24,6 +29,11 @@ KAPPA_MODULE = importlib.import_module("kappatools.kappa")
 @pytest.fixture
 def dp_only(monkeypatch):
     monkeypatch.setattr(KAPPA_MODULE, "DENSE_SHARE", 0)
+
+
+def fresh(g):
+    """An equal graph that has cached nothing, so keeps no line."""
+    return Multigraph(g.n_vertices, g.edges)
 
 
 def set_partitions(items):
@@ -79,15 +89,17 @@ def test_partition_counts_of_an_edgeless_graph_are_stirling_numbers():
 
 def test_dp_matches_brute_force_on_the_small_corpus(small_partitions, dp_only):
     for g, part in small_partitions.items():
-        assert kappa(g).value == part.class_count, g
-        assert tutte_eval(g, 2, 0) == sum(len(cls) for cls in part.classes), g
+        h = fresh(g)
+        assert kappa(h).value == part.class_count, g
+        assert tutte_eval(h, 2, 0) == sum(len(cls) for cls in part.classes), g
 
 
 def test_dp_matches_the_polynomial_on_the_small_corpus(small_corpus, dp_only):
     for g in small_corpus:
         poly = tutte_polynomial(g)
+        h = fresh(g)
         for x in range(-2, 4):
-            assert tutte_eval(g, x, 0) == poly.evaluate(x, 0), (g, x)
+            assert tutte_eval(h, x, 0) == poly.evaluate(x, 0), (g, x)
 
 
 def test_dp_matches_brute_force_and_the_trace_on_dense_random_graphs(dp_only):
@@ -106,8 +118,34 @@ def test_dp_matches_the_frontier_sum_on_larger_dense_graphs(monkeypatch):
         values = []
         for share in (0, 2):  # every piece to the DP, then to the frontier sum
             monkeypatch.setattr(KAPPA_MODULE, "DENSE_SHARE", share)
-            values.append([kappa(g).value] + [tutte_eval(g, x, 0) for x in (-1, 2)])
+            h = fresh(g)
+            values.append([kappa(h).value] + [tutte_eval(h, x, 0) for x in (-1, 2)])
         assert values[0] == values[1], g
+
+
+def test_the_line_of_a_clique_is_the_rising_factorial():
+    # T(K_n; x, 0) = x (x + 1) ... (x + n - 2), whose coefficients are the
+    # unsigned Stirling numbers of the first kind c(n - 1, i)
+    stirling = [1]  # c(0, i)
+    for n in range(2, 13):
+        stirling = [a * (n - 2) + b for a, b in zip(stirling + [0], [0] + stirling)]
+        assert _line(complete_graph(n), CacheStats()) == stirling, n
+
+
+def falling_sum(g, x):
+    """T(g; x, 0) of a connected g from the p_k alone:
+    (-1)^(n+1) sum over k of p_k prod_{i=1..k-1} (1 - x - i)."""
+    total = 0
+    for k, count in enumerate(_partition_counts(g, CacheStats())[1:], 1):
+        total += count * math.prod(1 - x - i for i in range(1, k))
+    return (-1) ** (g.n_vertices + 1) * total
+
+
+def test_the_dp_line_matches_the_falling_sum_at_each_point(small_corpus, dp_only):
+    for g in small_corpus:
+        h = fresh(g)
+        for x in range(-3, 6):
+            assert _solve(h, x, CacheStats()) == falling_sum(g, x), (g, x)
 
 
 def stack_depth():
